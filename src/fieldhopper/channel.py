@@ -7,14 +7,23 @@ the packet with the highest SINR is captured when it clears the threshold
 normalized interference-plus-noise power; for integer m the Gamma tail turns
 into a finite sum over its derivatives, which are evaluated through an exact
 exponential recurrence (no finite differences).
+
+The capture probabilities integrate a per-transmitter kernel over the disk.
+Its interference integrals depend on the link only through (m, eta, beta), so
+the kernel reads them from a Chebyshev interpolant in slant range, built once
+per geometry and link and cached; the public Laplace functions integrate them
+directly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from . import quadrature
 from .search import golden_max
@@ -100,14 +109,13 @@ class HoverGeometry:
 # ---------------------------------------------------------------------------
 # Laplace transform of normalized interference + noise
 
-def _q_derivative(j: int, s: np.ndarray, geom: HoverGeometry, radio: RadioSpec) -> np.ndarray:
+def _q_derivative(j: int, s: np.ndarray, geom: HoverGeometry, m: int, eta: float) -> np.ndarray:
     """j-th derivative in s of the interference exponent integral.
 
     Q_0(s) = int_h^d (1 - (1 + s r^-eta / m)^-m) r dr and, for j >= 1,
     Q_0^(j)(s) = (-1)^(j+1) (m)_j m^-j int r^(1-eta*j) (1+s r^-eta/m)^(-m-j) dr.
     """
     h, d = geom.altitude, geom.slant
-    m, eta = radio.m, radio.eta
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if j == 0:
         def f(r: np.ndarray) -> np.ndarray:
@@ -126,38 +134,39 @@ def _q_derivative(j: int, s: np.ndarray, geom: HoverGeometry, radio: RadioSpec) 
     return sign * rising * quadrature.integrate(f, h, d, rel_tol=_REL_TOL)
 
 
-def _log_laplace_derivatives(
-    s: np.ndarray, geom: HoverGeometry, radio: RadioSpec, max_order: int
+def _laplace_from_q(
+    s: np.ndarray, q: list[np.ndarray], geom: HoverGeometry, radio: RadioSpec
 ) -> list[np.ndarray]:
-    """[g, g', ..., g^(max_order)] for g(s) = log L_I(s), vectorized over s."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    """[L, L', ..., L^(k)] from the interference integrals q = [Q_0, ..., Q_0^(k)].
+
+    With g = log L = -s N/P - 2 pi lambda a Q_0(s), the transmit probability
+    and the noise enter only here, and L = exp(g) gives
+    L^(k) = sum_j C(k-1, j) g^(k-j) L^(j), which is exact.
+    """
     noise_ratio = radio.noise / radio.power
     area_rate = 2.0 * math.pi * geom.density * radio.aloha
-    out = [-s * noise_ratio - area_rate * _q_derivative(0, s, geom, radio)]
-    for j in range(1, max_order + 1):
-        g_j = -area_rate * _q_derivative(j, s, geom, radio)
+    g = [-s * noise_ratio - area_rate * q[0]]
+    for j in range(1, len(q)):
+        g_j = -area_rate * q[j]
         if j == 1:
             g_j = g_j - noise_ratio
-        out.append(g_j)
-    return out
-
-
-def _laplace_derivatives(
-    s: np.ndarray, geom: HoverGeometry, radio: RadioSpec, max_order: int
-) -> list[np.ndarray]:
-    """[L, L', ..., L^(max_order)] via the exponential recurrence.
-
-    L = exp(g) gives L^(k) = sum_j C(k-1, j) g^(k-j) L^(j), which is exact;
-    only the g^(j) involve integrals.
-    """
-    g = _log_laplace_derivatives(s, geom, radio, max_order)
+        g.append(g_j)
     ell = [np.exp(g[0])]
-    for k in range(1, max_order + 1):
+    for k in range(1, len(q)):
         acc = np.zeros_like(ell[0])
         for j in range(k):
             acc = acc + math.comb(k - 1, j) * g[k - j] * ell[j]
         ell.append(acc)
     return ell
+
+
+def _laplace_derivatives(
+    s: np.ndarray, geom: HoverGeometry, radio: RadioSpec, max_order: int
+) -> list[np.ndarray]:
+    """[L, L', ..., L^(max_order)] with every Q_0^(j) integrated at ``s``."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    q = [_q_derivative(j, s, geom, radio.m, radio.eta) for j in range(max_order + 1)]
+    return _laplace_from_q(s, q, geom, radio)
 
 
 def laplace_interference(s, geom: HoverGeometry, radio: RadioSpec):
@@ -185,14 +194,65 @@ def laplace_derivative(k: int, s, geom: HoverGeometry, radio: RadioSpec):
 # ---------------------------------------------------------------------------
 # capture probabilities
 
+_CHEB_DEGREES = (32, 64, 128, 256)
+_CHEB_TOL = 1e-13
+
+
+@functools.lru_cache(maxsize=512)
+def _interference_coefficients(
+    geom: HoverGeometry, m: int, eta: float, beta: float
+) -> np.ndarray:
+    """Chebyshev coefficients on [h, d] of r -> s^j Q_0^(j)(s), s = m beta r^eta, j < m.
+
+    The capture threshold s(r) is fixed by the link, so these integrals do
+    not depend on the transmit probability or the noise; one interpolant
+    serves every ALOHA value and every probe radius.  The factor s^j keeps
+    each column on one relative scale across [h, d]; Q_0^(j) alone spans
+    orders of magnitude when h << d.  The degree doubles until the last
+    coefficients of each column fall below ``_CHEB_TOL`` of its largest one
+    (geometric decay for analytic functions); at the cap the interpolant is
+    kept and a warning says so.
+    """
+    h, d = geom.altitude, geom.slant
+
+    def values(x: np.ndarray) -> np.ndarray:
+        s = m * beta * (0.5 * (d + h) + 0.5 * (d - h) * x) ** eta
+        return np.stack([s**j * _q_derivative(j, s, geom, m, eta) for j in range(m)], axis=-1)
+
+    for deg in _CHEB_DEGREES:
+        coef = chebyshev.chebinterpolate(values, deg)
+        tail = np.max(np.abs(coef[-4:]), axis=0)
+        if np.all(tail <= _CHEB_TOL * np.max(np.abs(coef), axis=0)):
+            break
+    else:
+        warnings.warn(
+            f"interference interpolant on slant ranges [{h:g}, {d:g}] m not "
+            f"resolved at degree {deg} (m={m}, eta={eta:g}, beta={beta:g}); "
+            "capture probabilities may lose accuracy",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    coef.flags.writeable = False
+    return coef
+
+
 def _capture_kernel(r: np.ndarray, geom: HoverGeometry, radio: RadioSpec) -> np.ndarray:
     """Per-transmitter capture probability at slant range r (Gamma tail).
 
     Equals sum_{k<m} ((-m beta r^eta)^k / k!) L^(k)(m beta r^eta); every term
-    is non-negative because (-1)^k L^(k) = E[I^k exp(-sI)].
+    is non-negative because (-1)^k L^(k) = E[I^k exp(-sI)].  The interference
+    integrals come from the cached interpolant, so no quadrature runs here.
     """
+    h, d = geom.altitude, geom.slant
+    coef = _interference_coefficients(geom, radio.m, radio.eta, radio.beta)
     s = radio.m * radio.beta * r**radio.eta
-    ell = _laplace_derivatives(s, geom, radio, radio.m - 1)
+    # T_k(x) = cos(k acos x), summed in a fixed order per point (no BLAS),
+    # so a point's value does not depend on the shape of ``r``
+    angle = np.arccos(np.clip((2.0 * r - (d + h)) / (d - h), -1.0, 1.0))
+    basis = angle[..., None] * np.arange(len(coef))
+    scaled = np.einsum("...k,kj->...j", np.cos(basis, out=basis), coef)
+    q = [scaled[..., j] / s**j for j in range(radio.m)]
+    ell = _laplace_from_q(s, q, geom, radio)
     total = np.zeros_like(s)
     fact = 1.0
     for k in range(radio.m):
@@ -215,6 +275,21 @@ def success_probability(geom: HoverGeometry, radio: RadioSpec) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def _lens_angle(w, near, cover_radius, probe_radius):
+    """Lens angle at in-disk radius ``w``, given ``near`` = w - |R - r_mse| >= 0.
+
+    Uses 4 atan(sqrt((1 - cos)/(1 + cos))) with 1 -/+ cos factored into
+    sums and differences of the radii; the factor that vanishes at the inner
+    tangency is ``near`` itself, so no arccos of a rounded cosine near +-1
+    loses digits, even for thin lenses.
+    """
+    beyond = probe_radius > cover_radius
+    far = w + np.abs(probe_radius - cover_radius)
+    minus = np.where(beyond, far, near) * (probe_radius + cover_radius - w)
+    plus = np.where(beyond, near, far) * (w + cover_radius + probe_radius)
+    return 4.0 * np.arctan2(np.sqrt(minus), np.sqrt(plus))
+
+
 def theta_lens(w, cover_radius: float, probe_radius: float):
     """Angle subtended inside the edge probe disk at in-disk radius ``w``.
 
@@ -231,36 +306,45 @@ def theta_lens(w, cover_radius: float, probe_radius: float):
     band = (w >= lo) & (w <= hi) & (w > 0)
     if np.any(band):
         wb = w[band]
-        arg = (cover_radius**2 + wb**2 - probe_radius**2) / (2.0 * cover_radius * wb)
-        out[band] = 2.0 * np.arccos(np.clip(arg, -1.0, 1.0))
+        out[band] = _lens_angle(wb, wb - lo, cover_radius, probe_radius)
     return out
 
 
-def edge_success_probability(geom: HoverGeometry, radio: RadioSpec, r_mse: float) -> float:
+def edge_success_probability(geom: HoverGeometry, radio: RadioSpec, r_mse):
     """Probability that a slot delivers a packet sent from within the edge lens.
 
     The lens is the part of the covered disk within ``r_mse`` of a point on
     its boundary; for r_mse >= 2R it is the whole disk and this reduces to
-    :func:`success_probability`.
+    :func:`success_probability`.  ``r_mse`` may be a scalar or an array of
+    probe radii (the result has its shape).
+
+    The integral runs over ground distance w from the disk center (r dr =
+    w dw) with fixed 64-point Gauss rules: on the lens segment
+    [|R - r_mse|, R], where the lens angle has a square-root endpoint, in
+    u with w = lo + (R - lo) u^2, and on the full-angle core [0, r_mse - R]
+    when the probe disk reaches past the center.
     """
-    if r_mse <= 0:
+    r_arr = np.asarray(r_mse, dtype=float)
+    if np.any(r_arr <= 0):
         raise ValueError("probe radius must be positive")
     if radio.aloha == 0.0 or geom.density == 0.0:
-        return 0.0
-    h, d, cover = geom.altitude, geom.slant, geom.radius
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        w = np.sqrt(np.maximum(r**2 - h**2, 0.0))
-        return _capture_kernel(r, geom, radio) * r * theta_lens(w, cover, r_mse)
-
-    breaks = sorted({h, d} | {
-        math.hypot(h, w)
-        for w in (abs(r_mse - cover), r_mse - cover, r_mse + cover)
-        if 0.0 < w < cover
-    })
-    value = quadrature.integrate_segments(integrand, breaks, rel_tol=1e-7)
-    p = radio.aloha * geom.density * float(np.sum(value))
-    return min(max(p, 0.0), 1.0)
+        return 0.0 if r_arr.ndim == 0 else np.zeros(r_arr.shape)
+    cover, h = geom.radius, geom.altitude
+    probe = r_arr.reshape(-1, 1)
+    lo = np.minimum(np.abs(probe - cover), cover)
+    core = np.clip(probe - cover, 0.0, cover)
+    u, u_weight = quadrature.UNIT_NODES, quadrature.UNIT_WEIGHTS
+    near = (cover - lo) * u**2  # w - lo, free of cancellation
+    w_lens = lo + near
+    theta = _lens_angle(w_lens, near, cover, probe)
+    w = np.concatenate([w_lens, core * u], axis=1)
+    weight = np.concatenate(
+        [theta * 2.0 * (cover - lo) * u * u_weight, 2.0 * math.pi * core * u_weight], axis=1
+    )
+    kernel = _capture_kernel(np.sqrt(w**2 + h**2), geom, radio)
+    p = radio.aloha * geom.density * np.sum(kernel * w * weight, axis=1)
+    p = np.clip(p, 0.0, 1.0)
+    return float(p[0]) if r_arr.ndim == 0 else p.reshape(r_arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +397,19 @@ def optimal_beta(
         p = success_probability(geom, trial.with_(aloha=a))
         return p * math.log2(1.0 + beta), a
 
-    log_best, obj = golden_max(lambda t: value(t)[0], 0.0, math.log(beta_max), tol=tol)
+    evaluated: dict[float, tuple[float, float]] = {}
+
+    def objective(log_beta: float) -> float:
+        evaluated[log_beta] = value(log_beta)
+        return evaluated[log_beta][0]
+
+    log_best, obj = golden_max(objective, 0.0, math.log(beta_max), tol=tol)
     # the capacity term grows without bound, so check the upper edge too
     edge_obj, edge_a = value(math.log(beta_max))
     if edge_obj >= obj:
         return OptimalBeta(beta=beta_max, aloha=edge_a, objective=edge_obj)
-    beta = math.exp(log_best)
-    obj, a = value(log_best)
-    return OptimalBeta(beta=beta, aloha=a, objective=obj)
+    obj, a = evaluated[log_best]
+    return OptimalBeta(beta=math.exp(log_best), aloha=a, objective=obj)
 
 
 def slot_duration(radio: RadioSpec) -> float:

@@ -34,7 +34,7 @@ from .channel import (
     slot_duration,
     success_probability,
 )
-from .config import RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config
 from .covering import NormalizedCoverageTable, fit_alpha
 from .field import EstimationInfeasible, optimal_slots_estimation
 from .mission import plan_aggregation, plan_estimation
@@ -168,7 +168,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if grid.size == 0:
         raise SystemExit("empty sweep grid")
     radio = cfg.radio()
-    geom = HoverGeometry(args.radius, args.radius, cfg.density)
+    drone = cfg.drone()
+    geom = HoverGeometry(args.radius, drone.altitude_for_radius(args.radius), cfg.density)
     rows = []
     header = ""
     for value in grid:
@@ -187,7 +188,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             header = "a,p_success,throughput_bps_hz"
             row = (value, p, p * math.log2(1.0 + link.beta))
         elif args.axis == "R":
-            g = HoverGeometry(float(value), float(value), cfg.density)
+            g = HoverGeometry(float(value), drone.altitude_for_radius(float(value)), cfg.density)
             link = radio.with_(aloha=optimal_aloha(g, radio)) if cfg.aloha is None else radio
             p = success_probability(g, link)
             hover = hover_time_aggregation(1, cfg.zeta, g, link)
@@ -202,7 +203,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             table = load_table(cfg)
             rep = plan_aggregation(
                 cfg.field().__class__(side=side, density=cfg.density),
-                cfg.drone(), radio, cfg.zeta,
+                drone, radio, cfg.zeta,
                 m_range=range(cfg.m_min, cfg.m_max + 1), table=table,
                 fixed_beta=cfg.beta, fixed_aloha=cfg.aloha, seed=cfg.seed,
             )
@@ -233,7 +234,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.replications < 1 or args.slots < 1:
         raise SystemExit("simulate needs at least one replication and one slot")
     radio = cfg.radio()
-    geom = HoverGeometry(args.radius, args.radius, cfg.density)
+    geom = HoverGeometry(args.radius, cfg.drone().altitude_for_radius(args.radius), cfg.density)
     if cfg.aloha is None:
         radio = radio.with_(aloha=optimal_aloha(geom, radio))
     analytic = success_probability(geom, radio)
@@ -362,6 +363,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except EstimationInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except ConfigError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

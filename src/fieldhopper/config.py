@@ -30,6 +30,10 @@ from .mission import FieldSpec
 OPTIMIZE = "optimize"
 
 
+class ConfigError(ValueError):
+    """A config file or option set that does not describe a valid run."""
+
+
 @dataclass
 class RunConfig:
     """Full description of a planning / simulation run, in SI units."""
@@ -67,20 +71,26 @@ class RunConfig:
     label: str | None = None
 
     def validate(self) -> None:
+        """Raise :class:`ConfigError` for values outside the model."""
         if self.mission not in ("aggregation", "estimation"):
-            raise ValueError(f"unknown mission {self.mission!r}")
+            raise ConfigError(f"unknown mission {self.mission!r}")
         if self.mission == "aggregation" and self.zeta <= 0:
-            raise ValueError("aggregation mission needs zeta > 0")
+            raise ConfigError("aggregation mission needs zeta > 0")
         if self.mission == "estimation" and not 0 < self.delta < self.sigma2:
-            raise ValueError("estimation mission needs 0 < delta < sigma2")
+            raise ConfigError("estimation mission needs 0 < delta < sigma2")
         if self.m_min < 1 or self.m_max < self.m_min:
-            raise ValueError("need 1 <= m_min <= m_max")
+            raise ConfigError("need 1 <= m_min <= m_max")
         if self.uavs < 1:
-            raise ValueError("need at least one UAV")
+            raise ConfigError("need at least one UAV")
         for name in ("side", "density", "power", "bandwidth", "packet_bits",
                      "speed", "accel", "decel", "sigma2", "nu", "corr_range"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
+        try:
+            for build in (self.radio, self.drone, self.field, self.covariance):
+                build()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     # ---- spec builders -----------------------------------------------------
     def radio(self) -> RadioSpec:
@@ -171,31 +181,44 @@ def _parse_depots(text: str) -> list[tuple[float, float]] | None:
 
 
 def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
-    """Read a key=value config file over the defaults (or over ``base``)."""
+    """Read a key=value config file over the defaults (or over ``base``).
+
+    Unreadable files, malformed lines, unknown keys and unparsable values
+    raise :class:`ConfigError`.
+    """
     cfg = base or RunConfig()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "depots":
-            cfg = cfg.with_(depots=_parse_depots(value))
-            continue
-        if key == "sinr_threshold":
-            cfg = cfg.with_(beta=None if value == OPTIMIZE else float(value))
-            continue
-        if key == "aloha":
-            cfg = cfg.with_(aloha=None if value == OPTIMIZE else float(value))
-            continue
-        if key == "paper_literal_kinematics":
-            cfg = cfg.with_(paper_literal_kinematics=value.lower() in ("1", "true", "yes"))
-            continue
-        if key not in _KEY_PARSERS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        attr, parse = _KEY_PARSERS[key]
-        parsed = parse(value) if parse in (str, int, float) else parse(float(value))
-        cfg = cfg.with_(**{attr: parsed})
+        try:
+            cfg = _apply_key(cfg, key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
     return cfg
+
+
+def _apply_key(cfg: RunConfig, key: str, value: str) -> RunConfig:
+    if key == "depots":
+        return cfg.with_(depots=_parse_depots(value))
+    if key == "sinr_threshold":
+        return cfg.with_(beta=None if value == OPTIMIZE else float(value))
+    if key == "aloha":
+        return cfg.with_(aloha=None if value == OPTIMIZE else float(value))
+    if key == "paper_literal_kinematics":
+        return cfg.with_(paper_literal_kinematics=value.lower() in ("1", "true", "yes"))
+    if key not in _KEY_PARSERS:
+        raise ConfigError(f"unknown key {key!r}")
+    attr, parse = _KEY_PARSERS[key]
+    parsed = parse(value) if parse in (str, int, float) else parse(float(value))
+    return cfg.with_(**{attr: parsed})

@@ -20,14 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg, special
 
-from . import quadrature
 from .channel import (
     HoverGeometry,
     RadioSpec,
     edge_success_probability,
     slot_duration,
     success_probability,
-    theta_lens,
 )
 from .search import golden_min
 
@@ -225,20 +223,25 @@ def no_success_probability(p_e_s: float, j: float, rho: float) -> float:
     return (1.0 - p_e_s) ** (j / rho)
 
 
-def area_ratio_rho(cover_radius: float, r_mse: float) -> float:
-    """|lens| / |probe disk| for a probe disk centered on the hover-disk edge."""
-    if cover_radius <= 0 or r_mse <= 0:
+def area_ratio_rho(cover_radius: float, r_mse):
+    """|lens| / |probe disk| for a probe disk centered on the hover-disk edge.
+
+    Closed form of the two-circle intersection: with t = r_mse / (2R),
+    rho = (acos t + (asin t - t sqrt(1 - t^2)) / (2 t^2)) / pi for t < 1 and
+    1 / (4 t^2) once the probe disk holds the whole hover disk.  ``r_mse``
+    may be a scalar or an array.
+    """
+    r = np.asarray(r_mse, dtype=float)
+    if cover_radius <= 0 or np.any(r <= 0):
         raise ValueError("radii must be positive")
-
-    def integrand(w: np.ndarray) -> np.ndarray:
-        return w * theta_lens(w, cover_radius, r_mse)
-
-    breaks = sorted({0.0, cover_radius} | {
-        w for w in (abs(r_mse - cover_radius), r_mse - cover_radius)
-        if 0.0 < w < cover_radius
-    })
-    lens = float(quadrature.integrate_segments(integrand, breaks, rel_tol=1e-10))
-    return lens / (math.pi * r_mse**2)
+    t = r / (2.0 * cover_radius)
+    s = np.minimum(t, 1.0)
+    rho = np.where(
+        t < 1.0,
+        (np.arccos(s) + (np.arcsin(s) - s * np.sqrt(1.0 - s * s)) / (2.0 * s * s)) / math.pi,
+        0.25 / (t * t),
+    )
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def probe_radius_limit(spec: CovarianceSpec, delta: float) -> float:
@@ -252,21 +255,26 @@ def probe_radius_limit(spec: CovarianceSpec, delta: float) -> float:
 
 
 def estimation_slots(
-    r_mse: float,
+    r_mse,
     geom: HoverGeometry,
     radio: RadioSpec,
     spec: CovarianceSpec,
     delta: float,
-) -> float:
-    """Real-valued slot count meeting the edge-MSE target at probe radius."""
-    p_edge = edge_success_probability(geom, radio, r_mse)
-    if p_edge <= 0.0 or p_edge >= 1.0:
-        return math.inf
-    target = 1.0 + (delta - spec.sigma2) * spec.sigma2 * math.exp(2.0 * r_mse / spec.b)
-    if target <= 0.0:
-        return math.inf
-    rho = area_ratio_rho(geom.radius, r_mse)
-    return rho * math.log(target) / math.log1p(-p_edge)
+):
+    """Real-valued slot count meeting the edge-MSE target at probe radius.
+
+    Solves edge_mse_bound(no_success_probability(p_edge, J, rho), r_mse) =
+    delta for J; infinite where no slot count can reach the target.
+    ``r_mse`` may be a scalar or an array of probe radii.
+    """
+    r = np.asarray(r_mse, dtype=float)
+    p_edge = np.asarray(edge_success_probability(geom, radio, r))
+    target = 1.0 + (delta - spec.sigma2) * spec.sigma2 * np.exp(2.0 * r / spec.b)
+    rho = area_ratio_rho(geom.radius, r)
+    ok = (p_edge > 0.0) & (p_edge < 1.0) & (target > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slots = np.where(ok, rho * np.log(target) / np.log1p(-p_edge), math.inf)
+    return float(slots) if slots.ndim == 0 else slots
 
 
 @dataclass(frozen=True)
@@ -305,7 +313,7 @@ def optimal_slots_estimation(
     def objective(r: float) -> float:
         return estimation_slots(r, geom, radio, spec, delta)
 
-    values = np.array([objective(r) for r in radii])
+    values = estimation_slots(radii, geom, radio, spec, delta)
     if not np.any(np.isfinite(values)):
         raise EstimationInfeasible("no probe radius yields a nonzero sample rate")
     k = int(np.argmin(values))

@@ -15,6 +15,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 _NODES, _WEIGHTS = leggauss(64)
+# the same rule on [0, 1], for integrals summed on fixed nodes
+UNIT_NODES, UNIT_WEIGHTS = 0.5 * (_NODES + 1.0), 0.5 * _WEIGHTS
 
 
 def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> np.ndarray:
@@ -58,21 +60,3 @@ def integrate(
             stack.append((mid, hi, right, depth + 1))
     return total
 
-
-def integrate_segments(
-    f: Callable[[np.ndarray], np.ndarray],
-    breakpoints: list[float],
-    rel_tol: float = 1e-9,
-) -> np.ndarray:
-    """Integrate across a partition, splitting at known kinks."""
-    pieces = [
-        integrate(f, lo, hi, rel_tol=rel_tol)
-        for lo, hi in zip(breakpoints[:-1], breakpoints[1:])
-        if hi > lo
-    ]
-    if not pieces:
-        return np.asarray(0.0)
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = out + piece
-    return out

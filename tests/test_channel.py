@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fieldhopper import channel
+from fieldhopper import channel, quadrature
 from fieldhopper.channel import (
     HoverGeometry,
     RadioSpec,
@@ -178,6 +179,16 @@ def test_optimal_beta_unimodal_neighborhood(geom20, radio):
     assert best.objective >= objective(min(best.beta * 1.5, 20.0)) - 1e-3
 
 
+def test_optimal_beta_reports_its_search_point(geom20, radio):
+    best = optimal_beta(geom20, radio, optimize_a=True)
+    trial = radio.with_(beta=best.beta)
+    aloha = optimal_aloha(geom20, trial, tol=1e-3)
+    assert best.aloha == aloha
+    assert best.objective == (
+        success_probability(geom20, trial.with_(aloha=aloha)) * math.log2(1.0 + best.beta)
+    )
+
+
 def test_optimal_beta_constant_success_goes_to_cap(geom20, radio, monkeypatch):
     monkeypatch.setattr(channel, "success_probability", lambda g, r: 0.5)
     best = optimal_beta(geom20, radio, optimize_a=False, beta_max=20.0)
@@ -231,3 +242,105 @@ def test_hover_time_unit_case(geom20, radio, monkeypatch):
 
 def test_hover_time_infeasible_is_infinite(geom20, radio):
     assert math.isinf(hover_time_aggregation(3, 100.0, geom20, radio.with_(aloha=0.0)))
+
+
+# (R, h): the reference disk, two more 90-degree disks, a wide flat disk and
+# a 170-degree beam (altitude R / tan 85 deg)
+GEOMETRIES = [
+    (20.0, 20.0), (15.0, 15.0), (40.0, 23.0), (20.0, 20.0 / math.tan(math.radians(85.0))),
+]
+
+
+def exact_kernel(r, geom, radio):
+    """Gamma-tail capture kernel from the nested-quadrature Laplace derivatives."""
+    s = radio.m * radio.beta * r**radio.eta
+    return sum(
+        (-s) ** k / math.factorial(k) * laplace_derivative(k, s, geom, radio)
+        for k in range(radio.m)
+    )
+
+
+def edge_reference(geom, radio, r_mse):
+    """Adaptive integral over ground distance at rel_tol 1e-13, split at the lens kink."""
+    h, cover = geom.altitude, geom.radius
+
+    def integrand(w):
+        slant = np.sqrt(w**2 + h**2)
+        return channel._capture_kernel(slant, geom, radio) * w * theta_lens(w, cover, r_mse)
+
+    breaks = sorted({0.0, cover} | {w for w in (abs(r_mse - cover),) if 0.0 < w < cover})
+    total = sum(
+        float(quadrature.integrate(integrand, lo, hi, rel_tol=1e-13))
+        for lo, hi in zip(breaks[:-1], breaks[1:])
+    )
+    return radio.aloha * geom.density * total
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("cover,altitude", GEOMETRIES)
+def test_interpolated_kernel_matches_nested_quadrature(radio, m, cover, altitude):
+    geom = HoverGeometry(cover, altitude, 0.1)
+    r = np.linspace(geom.altitude, geom.slant, 101)
+    for beta in (1.0, 1.8, 20.0):
+        link = radio.with_(m=m, beta=beta)
+        want = exact_kernel(r, geom, link)
+        assert np.max(np.abs(channel._capture_kernel(r, geom, link) / want - 1.0)) <= 1e-12
+        # a dense, busy field: the kernel is tiny but still tracks the exact one
+        busy = link.with_(aloha=0.3)
+        got = channel._capture_kernel(r, geom, busy)
+        assert np.max(np.abs(got - exact_kernel(r, geom, busy))) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("cover,altitude", GEOMETRIES)
+def test_edge_rule_matches_adaptive_reference(radio, m, cover, altitude):
+    geom = HoverGeometry(cover, altitude, 0.1)
+    link = radio.with_(m=m)
+    probes = [
+        0.05, cover / 2, cover * (1 - 1e-3), cover, cover * (1 + 1e-3),
+        1.5 * cover, 2 * cover - 1e-9, 2.2 * cover,
+    ]
+    for r_mse in probes:
+        got = edge_success_probability(geom, link, r_mse)
+        assert got == pytest.approx(edge_reference(geom, link, r_mse), rel=1e-12, abs=0.0)
+
+
+def test_edge_array_matches_scalar_calls(geom20, radio):
+    probes = np.array([[0.05, 7.0, 19.98, 20.0], [20.02, 30.0, 40.0, 44.0]])
+    got = edge_success_probability(geom20, radio, probes)
+    assert got.shape == probes.shape
+    for idx, r_mse in np.ndenumerate(probes):
+        assert got[idx] == edge_success_probability(geom20, radio, float(r_mse))
+    assert np.all(edge_success_probability(geom20, radio.with_(aloha=0.0), probes) == 0.0)
+    with pytest.raises(ValueError):
+        edge_success_probability(geom20, radio, np.array([5.0, -1.0]))
+
+
+def test_one_interpolant_serves_every_aloha(radio):
+    geom = HoverGeometry(radius=21.5, altitude=21.5, density=0.1)
+    channel._interference_coefficients.cache_clear()
+    optimal_aloha(geom, radio)
+    edge_success_probability(geom, radio.with_(aloha=0.2), np.linspace(1.0, 40.0, 64))
+    assert channel._interference_coefficients.cache_info().currsize == 1
+
+
+def test_interpolant_warns_at_degree_cap(radio, monkeypatch):
+    monkeypatch.setattr(channel, "_CHEB_DEGREES", (4,))
+    geom = HoverGeometry(radius=20.0, altitude=1.0, density=0.1)
+    try:
+        with pytest.warns(RuntimeWarning, match="degree 4"):
+            channel._interference_coefficients(geom, 1, 3.0, 1.8)
+    finally:
+        channel._interference_coefficients.cache_clear()  # drop the capped interpolant
+
+
+def test_theta_lens_thin_lens_is_accurate():
+    # the probe disk is 400x smaller than the hover disk, so the lens cosine
+    # sits within 1e-5 of 1; the reference is tan^2(theta/4) = (1-cos)/(1+cos)
+    # from the law of cosines in exact rational arithmetic
+    cover, probe = 20.0, 0.05
+    for w in np.linspace(cover - probe, cover, 9)[1:]:
+        c, x, p = Fraction(cover), Fraction(float(w)), Fraction(probe)
+        cos = (c * c + x * x - p * p) / (2 * c * x)
+        want = 4.0 * math.atan(math.sqrt(float((1 - cos) / (1 + cos))))
+        assert theta_lens(w, cover, probe) == pytest.approx(want, rel=1e-13, abs=0.0)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from fieldhopper import cli
-from fieldhopper.config import RunConfig, load_config
+from fieldhopper.channel import HoverGeometry, success_probability
+from fieldhopper.config import ConfigError, RunConfig, load_config
 
 
 def run(args):
@@ -103,6 +104,52 @@ def test_simulate_pass_and_replay(tmp_path):
     assert stats.read_bytes() == first
 
 
+def test_simulate_uses_beamwidth_altitude(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beamwidth_deg = 60\n")
+    code = run(["simulate", "--config", str(cfg), "--slots", "50", "--replications", "2",
+                "--out", str(tmp_path), "--label", "narrow"])
+    assert code in (cli.EXIT_OK, cli.EXIT_MISMATCH)
+    stats = json.loads((tmp_path / "simulate" / "narrow" / "stats.json").read_text())
+    # a 60-degree beam hovers at R / tan(30 deg); the 90-degree value is 0.449
+    assert stats["analytic_p_success"] == pytest.approx(0.226, abs=1e-3)
+
+
+def test_sweep_radius_uses_beamwidth_altitude(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beamwidth_deg = 60\naloha = 0.02\n")
+    args = ["sweep", "--config", str(cfg), "--axis", "R", "--grid", "20:20:1",
+            "--out", str(tmp_path), "--label", "r60"]
+    assert run(args) == 0
+    row = (tmp_path / "sweep" / "r60" / "sweep.csv").read_text().splitlines()[2]
+    geom = HoverGeometry(20.0, 20.0 * math.sqrt(3.0), 0.1)
+    want = success_probability(geom, load_config(cfg).radio())
+    assert float(row.split(",")[2]) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("line", ["side_m = -5", "warp_factor = 9", "nakagami_m = 1.5",
+                                  "side_m = wide", "beamwidth_deg = 200"])
+def test_config_errors_exit_as_usage_errors(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code = run(["plan", "--config", str(cfg), "--m-max", "1", "--out", str(tmp_path)])
+    assert code == cli.EXIT_INFEASIBLE
+
+
+def test_missing_config_file_exits_as_usage_error(tmp_path):
+    code = run(["plan", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)])
+    assert code == cli.EXIT_INFEASIBLE
+
+
+def test_crash_keeps_crash_exit_code(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "plan_aggregation", boom)
+    code = run(["plan", "--m-max", "1", "--out", str(tmp_path)])
+    assert code == cli.EXIT_CRASH
+
+
 def test_simulate_rejects_zero_replications(tmp_path):
     with pytest.raises(SystemExit):
         run(["simulate", "--replications", "0", "--out", str(tmp_path)])
@@ -163,6 +210,8 @@ def test_config_rejects_unknown_key(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("warp_factor = 9\n")
     with pytest.raises(ValueError):
+        load_config(cfg_file)
+    with pytest.raises(ConfigError, match="run.cfg:1: unknown key"):
         load_config(cfg_file)
 
 

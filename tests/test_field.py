@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fieldhopper.channel import HoverGeometry
+from fieldhopper import quadrature
+from fieldhopper.channel import HoverGeometry, edge_success_probability, theta_lens
 from fieldhopper.field import (
     CovarianceSpec,
     EstimationInfeasible,
@@ -220,6 +221,34 @@ def test_rho_matches_closed_form_lens(rng):
         assert area_ratio_rho(cover, probe) == pytest.approx(want, abs=1e-6)
 
 
+@pytest.mark.parametrize("cover", [20.0, 15.0, 40.0])
+def test_rho_matches_lens_angle_integral(cover):
+    probes = [
+        0.05, cover / 2, cover * (1 - 1e-3), cover, cover * (1 + 1e-3),
+        1.5 * cover, 2 * cover - 1e-9, 2.2 * cover,
+    ]
+    for probe in probes:
+        def integrand(w):
+            return w * theta_lens(w, cover, probe)
+
+        breaks = sorted({0.0, cover} | {w for w in (abs(probe - cover),) if 0.0 < w < cover})
+        lens = sum(
+            float(quadrature.integrate(integrand, lo, hi, rel_tol=1e-13))
+            for lo, hi in zip(breaks[:-1], breaks[1:])
+        )
+        want = lens / (math.pi * probe**2)
+        assert area_ratio_rho(cover, probe) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_rho_array_matches_scalar_calls():
+    probes = np.array([0.05, 10.0, 20.0, 39.9, 40.0, 41.0])
+    got = area_ratio_rho(20.0, probes)
+    assert got.shape == probes.shape
+    assert all(got[i] == area_ratio_rho(20.0, float(r)) for i, r in enumerate(probes))
+    with pytest.raises(ValueError):
+        area_ratio_rho(20.0, np.array([1.0, 0.0]))
+
+
 def test_rho_rejection_sampling_oracle():
     cover, probe = 20.0, 20.0
     rng = np.random.default_rng(9)
@@ -293,3 +322,23 @@ def test_required_observations_grow_with_radius(radio, cov75):
         budget = optimal_slots_estimation(geom, radio, cov75, delta=0.2)
         values.append(required_total_observations(geom, radio, budget.j_star, 1e4))
     assert all(b > a for a, b in zip(values[:-1], values[1:]))
+
+
+def test_estimation_slots_array_matches_scalar_calls(geom20, radio, cov75):
+    radii = np.linspace(0.05, probe_radius_limit(cov75, 0.2), 17)
+    got = estimation_slots(radii, geom20, radio, cov75, 0.2)
+    assert got.shape == radii.shape
+    for i, r in enumerate(radii):
+        assert got[i] == estimation_slots(float(r), geom20, radio, cov75, 0.2)
+    assert math.isinf(got[-1])  # the target is unreachable at the admissible limit
+
+
+def test_slot_count_meets_edge_mse_target_exactly(geom20, radio, cov75):
+    # estimation_slots inverts edge_mse_bound o no_success_probability
+    upper = probe_radius_limit(cov75, 0.2)
+    for r_mse in np.linspace(0.05, 0.99, 7) * upper:
+        j = estimation_slots(float(r_mse), geom20, radio, cov75, 0.2)
+        p_edge = edge_success_probability(geom20, radio, float(r_mse))
+        rho = area_ratio_rho(geom20.radius, float(r_mse))
+        p_ns = no_success_probability(p_edge, j, rho)
+        assert edge_mse_bound(p_ns, float(r_mse), cov75) == pytest.approx(0.2, rel=1e-12)

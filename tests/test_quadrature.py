@@ -40,8 +40,3 @@ def test_sharp_peak_needs_subdivision():
     want = math.sqrt(2.0 * math.pi * 1e-6)
     assert float(got) == pytest.approx(want, rel=1e-7)
 
-
-def test_segments_sum():
-    whole = quadrature.integrate(np.cos, 0.0, 3.0)
-    split = quadrature.integrate_segments(np.cos, [0.0, 1.2, 1.2, 3.0])
-    assert float(split) == pytest.approx(float(whole), rel=1e-12)
