@@ -12,7 +12,9 @@ The capture probabilities integrate a per-transmitter kernel over the disk.
 Its interference integrals depend on the link only through (m, eta, beta), so
 the kernel reads them from a Chebyshev interpolant in slant range, built once
 per geometry and link and cached; the public Laplace functions integrate them
-directly.
+directly.  The disk capture probability sums the kernel on fixed nodes whose
+interference values are cached per link too, so a transmit-probability trial
+costs one exponential per node.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -135,7 +138,7 @@ def _q_derivative(j: int, s: np.ndarray, geom: HoverGeometry, m: int, eta: float
 
 
 def _laplace_from_q(
-    s: np.ndarray, q: list[np.ndarray], geom: HoverGeometry, radio: RadioSpec
+    s: np.ndarray, q: Sequence[np.ndarray], geom: HoverGeometry, radio: RadioSpec
 ) -> list[np.ndarray]:
     """[L, L', ..., L^(k)] from the interference integrals q = [Q_0, ..., Q_0^(k)].
 
@@ -236,22 +239,33 @@ def _interference_coefficients(
     return coef
 
 
-def _capture_kernel(r: np.ndarray, geom: HoverGeometry, radio: RadioSpec) -> np.ndarray:
-    """Per-transmitter capture probability at slant range r (Gamma tail).
+def _interference_lookup(
+    r: np.ndarray, geom: HoverGeometry, m: int, eta: float, beta: float
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Capture threshold s = m beta r^eta and [Q_0(s), ..., Q_0^(m-1)(s)] at slant range r.
 
-    Equals sum_{k<m} ((-m beta r^eta)^k / k!) L^(k)(m beta r^eta); every term
-    is non-negative because (-1)^k L^(k) = E[I^k exp(-sI)].  The interference
-    integrals come from the cached interpolant, so no quadrature runs here.
+    The interference integrals come from the cached interpolant, so no
+    quadrature runs here.
     """
     h, d = geom.altitude, geom.slant
-    coef = _interference_coefficients(geom, radio.m, radio.eta, radio.beta)
-    s = radio.m * radio.beta * r**radio.eta
+    coef = _interference_coefficients(geom, m, eta, beta)
+    s = m * beta * r**eta
     # T_k(x) = cos(k acos x), summed in a fixed order per point (no BLAS),
     # so a point's value does not depend on the shape of ``r``
     angle = np.arccos(np.clip((2.0 * r - (d + h)) / (d - h), -1.0, 1.0))
     basis = angle[..., None] * np.arange(len(coef))
     scaled = np.einsum("...k,kj->...j", np.cos(basis, out=basis), coef)
-    q = [scaled[..., j] / s**j for j in range(radio.m)]
+    return s, [scaled[..., j] / s**j for j in range(m)]
+
+
+def _kernel_from_q(
+    s: np.ndarray, q: Sequence[np.ndarray], geom: HoverGeometry, radio: RadioSpec
+) -> np.ndarray:
+    """Per-transmitter capture probability (Gamma tail) from the interference integrals.
+
+    Equals sum_{k<m} ((-s)^k / k!) L^(k)(s) with s = m beta r^eta; every term
+    is non-negative because (-1)^k L^(k) = E[I^k exp(-sI)].
+    """
     ell = _laplace_from_q(s, q, geom, radio)
     total = np.zeros_like(s)
     fact = 1.0
@@ -262,16 +276,41 @@ def _capture_kernel(r: np.ndarray, geom: HoverGeometry, radio: RadioSpec) -> np.
     return total
 
 
+def _capture_kernel(r: np.ndarray, geom: HoverGeometry, radio: RadioSpec) -> np.ndarray:
+    """Per-transmitter capture probability at slant range r."""
+    s, q = _interference_lookup(r, geom, radio.m, radio.eta, radio.beta)
+    return _kernel_from_q(s, q, geom, radio)
+
+
+@functools.lru_cache(maxsize=512)
+def _disk_nodes(
+    geom: HoverGeometry, m: int, eta: float, beta: float
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """(s, q, weights) of the fixed disk rule: 64 Gauss nodes in ground distance.
+
+    With w in [0, R] and r dr = w dw, int_h^d K(r) r dr = sum_i K(r_i) w_i c_i.
+    The nodes' thresholds and interference integrals depend only on the
+    link, so every ALOHA trial reads them from here.
+    """
+    w = geom.radius * quadrature.UNIT_NODES
+    s, q = _interference_lookup(np.sqrt(w**2 + geom.altitude**2), geom, m, eta, beta)
+    weight = geom.radius * quadrature.UNIT_WEIGHTS * w
+    for arr in (s, *q, weight):
+        arr.flags.writeable = False
+    return s, tuple(q), weight
+
+
 def success_probability(geom: HoverGeometry, radio: RadioSpec) -> float:
-    """Probability that a slot delivers one packet from the covered disk."""
+    """Probability that a slot delivers one packet from the covered disk.
+
+    2 pi a lambda int_h^d K(r) r dr on the fixed 64-point rule over ground
+    distance; the kernel at the cached nodes costs one exponential per node.
+    """
     if radio.aloha == 0.0 or geom.density == 0.0:
         return 0.0
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        return _capture_kernel(r, geom, radio) * r
-
-    value = quadrature.integrate(integrand, geom.altitude, geom.slant, rel_tol=1e-7)
-    p = 2.0 * radio.aloha * math.pi * geom.density * float(np.sum(value))
+    s, q, weight = _disk_nodes(geom, radio.m, radio.eta, radio.beta)
+    kernel = _kernel_from_q(s, q, geom, radio)
+    p = 2.0 * radio.aloha * math.pi * geom.density * float(kernel @ weight)
     return min(max(p, 0.0), 1.0)
 
 
@@ -375,20 +414,16 @@ class OptimalBeta:
 def optimal_beta(
     geom: HoverGeometry,
     radio: RadioSpec,
-    objective: str = "aggregation",
     beta_max: float = 20.0,
     optimize_a: bool = True,
     tol: float = 1e-3,
 ) -> OptimalBeta:
     """SINR threshold minimizing hover time per collected sample.
 
-    Hover time scales as 1/(P_s log2(1+beta)), so both supported objectives
-    ("aggregation" and "throughput") maximize P_s log2(1+beta).  The search
-    runs on log beta over [1, beta_max]; the transmit probability is
-    re-optimized per beta unless ``optimize_a`` is False.
+    Hover time scales as 1/(P_s log2(1+beta)), so the search maximizes
+    P_s log2(1+beta).  It runs on log beta over [1, beta_max]; the transmit
+    probability is re-optimized per beta unless ``optimize_a`` is False.
     """
-    if objective not in ("aggregation", "throughput"):
-        raise ValueError(f"unknown objective {objective!r}")
 
     def value(log_beta: float) -> tuple[float, float]:
         beta = math.exp(log_beta)

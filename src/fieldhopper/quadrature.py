@@ -9,6 +9,7 @@ same nodes), in which case every batch member must meet the tolerance.
 
 from __future__ import annotations
 
+import warnings
 from typing import Callable
 
 import numpy as np
@@ -37,7 +38,9 @@ def integrate(
 
     Each panel is accepted when splitting it in half changes the estimate by
     less than ``rel_tol`` relative to the running magnitude of the integral.
-    Returns a scalar, or an array matching the leading axes of ``f``'s output.
+    A panel that reaches ``max_depth`` halvings is accepted anyway, with a
+    ``RuntimeWarning`` naming the interval.  Returns a scalar, or an array
+    matching the leading axes of ``f``'s output.
     """
     if b == a:
         return np.asarray(f(np.asarray([a])))[..., 0] * 0.0
@@ -45,6 +48,7 @@ def integrate(
     total = np.zeros_like(whole)
     scale = max(float(np.max(np.abs(whole))), np.finfo(float).tiny)
     stack = [(a, b, whole, 0)]
+    unresolved = 0
     while stack:
         lo, hi, coarse, depth = stack.pop()
         mid = 0.5 * (lo + hi)
@@ -52,11 +56,21 @@ def integrate(
         right = _panel(f, mid, hi)
         fine = left + right
         err = float(np.max(np.abs(fine - coarse)))
-        if err <= rel_tol * scale or depth >= max_depth:
+        converged = err <= rel_tol * scale
+        if converged or depth >= max_depth:
+            if not converged:
+                unresolved += 1
             total = total + fine
             scale = max(scale, float(np.max(np.abs(total))))
         else:
             stack.append((lo, mid, left, depth + 1))
             stack.append((mid, hi, right, depth + 1))
+    if unresolved:
+        warnings.warn(
+            f"integral over [{a:g}, {b:g}] not resolved to rel_tol {rel_tol:g}: "
+            f"{unresolved} panel(s) accepted at max_depth {max_depth}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return total
 

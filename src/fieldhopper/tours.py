@@ -59,7 +59,6 @@ def held_karp(dist: np.ndarray) -> tuple[list[int], float]:
     dp = np.full((size, m), np.inf)
     parent = np.full((size, m), -1, dtype=np.int32)
     dp[np.arange(m) * 0 + (1 << np.arange(m)), np.arange(m)] = dist[0, 1:]
-    members = [np.flatnonzero((np.arange(size) >> j) & 1) for j in range(m)]
     for mask in range(1, size):
         js = [j for j in range(m) if mask & (1 << j)]
         if len(js) < 2:

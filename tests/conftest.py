@@ -1,6 +1,12 @@
 """Shared fixtures: reference deployment parameters and the cached table."""
 
 import math
+import os
+
+# one BLAS thread, set before numpy loads: the seeded kriging results depend
+# on the pool size, and a multi-threaded pool stalls under a busy second CPU
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

@@ -1,8 +1,12 @@
 import math
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldhopper import channel, quadrature
 from fieldhopper.channel import (
@@ -195,11 +199,6 @@ def test_optimal_beta_constant_success_goes_to_cap(geom20, radio, monkeypatch):
     assert best.beta == 20.0
 
 
-def test_optimal_beta_rejects_unknown_objective(geom20, radio):
-    with pytest.raises(ValueError):
-        optimal_beta(geom20, radio, objective="latency")
-
-
 def test_theta_lens_regions():
     # probe disk smaller than the covered disk
     assert theta_lens(0.0, 20.0, 10.0) == 0.0
@@ -344,3 +343,81 @@ def test_theta_lens_thin_lens_is_accurate():
         cos = (c * c + x * x - p * p) / (2 * c * x)
         want = 4.0 * math.atan(math.sqrt(float((1 - cos) / (1 + cos))))
         assert theta_lens(w, cover, probe) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def disk_reference(geom, radio):
+    """2 pi a lambda int_h^d K(r) r dr, adaptive at rel_tol 1e-13 with the same kernel."""
+    def integrand(r):
+        return channel._capture_kernel(r, geom, radio) * r
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = quadrature.integrate(
+            integrand, geom.altitude, geom.slant, rel_tol=1e-13, max_depth=12
+        )
+    p = 2.0 * math.pi * radio.aloha * geom.density * float(value)
+    # near the underflow floor the kernel's own rounding exceeds 1e-13
+    # relative, so a reference may stop at max_depth; only the absolute bar
+    # applies to values that small
+    assert not caught or p < 1e-200
+    return p
+
+
+# the edge geometries with the far 75 m disk, and the 170-degree beam at R = 10
+DISK_GEOMETRIES = [
+    (20.0, 20.0), (15.0, 15.0), (40.0, 23.0), (75.0, 75.0),
+    (10.0, 10.0 / math.tan(math.radians(85.0))),
+]
+
+
+@pytest.mark.parametrize("density", [0.1, 1.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("cover,altitude", DISK_GEOMETRIES)
+def test_disk_rule_matches_adaptive_reference(radio, cover, altitude, m, density):
+    geom = HoverGeometry(cover, altitude, density)
+    for beta in (1.0, 1.8, 5.0, 20.0):
+        for aloha in (1e-3, 0.05, 1.0):
+            link = radio.with_(m=m, beta=beta, aloha=aloha)
+            want = disk_reference(geom, link)
+            got = success_probability(geom, link)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-16)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("cover,altitude", GEOMETRIES)
+def test_edge_at_full_lens_equals_disk(radio, cover, altitude, m):
+    geom = HoverGeometry(cover, altitude, 0.1)
+    link = radio.with_(m=m)
+    want = success_probability(geom, link)
+    assert edge_success_probability(geom, link, 2.0 * cover) == pytest.approx(
+        want, rel=1e-12, abs=0.0
+    )
+
+
+# (R, h) and beta from bounded boxes, so an example builds
+# two small interpolants (at beta and 4 beta) and the test stays well under 10 s
+_LINKS = st.fixed_dictionaries(
+    {
+        "cover": st.floats(10.0, 40.0),
+        "tilt": st.floats(0.3, 1.5),
+        "m": st.integers(1, 3),
+        "beta": st.floats(1.0, 5.0),
+        "density": st.floats(0.01, 1.0),
+        "aloha": st.floats(1e-4, 1.0),
+    }
+)
+
+
+@settings(deadline=None)
+@given(_LINKS)
+def test_success_probability_invariants(link):
+    geom = HoverGeometry(link["cover"], link["cover"] * link["tilt"], link["density"])
+    radio = RadioSpec(
+        power=1e-6, noise=1e-11, eta=3.0, m=link["m"], bandwidth=2e5,
+        packet_bits=40960.0, beta=link["beta"], aloha=link["aloha"],
+    )
+    p = success_probability(geom, radio)
+    assert 0.0 <= p <= 1.0
+    assert success_probability(geom, radio.with_(beta=4.0 * radio.beta)) <= p
+    assert success_probability(geom, radio.with_(aloha=0.0)) == 0.0
+    assert success_probability(replace(geom, density=0.0), radio) == 0.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,3 +41,29 @@ def test_sharp_peak_needs_subdivision():
     want = math.sqrt(2.0 * math.pi * 1e-6)
     assert float(got) == pytest.approx(want, rel=1e-7)
 
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda x: np.abs(x - 1.0 / 3.0), lambda x: (x > 1.0 / 3.0).astype(float)],
+    ids=["kink", "step"],
+)
+def test_max_depth_truncation_warns(f):
+    with pytest.warns(RuntimeWarning, match=r"\[0, 1\].*max_depth 3"):
+        quadrature.integrate(f, 0.0, 1.0, rel_tol=1e-12, max_depth=3)
+
+
+@pytest.mark.parametrize(
+    "f,a,b,rel_tol",
+    [
+        (lambda x: 3 * x**2, 0.0, 2.0, 1e-9),
+        (np.sin, 0.0, 50.0, 1e-10),
+        (lambda x: np.exp(-np.array([1.0, 2.0, 5.0])[:, None] * x[None, :]), 0.0, 10.0, 1e-10),
+        (lambda x: np.exp(-((x - 0.9) ** 2) / 2e-6), 0.0, 1.0, 1e-9),
+    ],
+    ids=["polynomial", "oscillatory", "batch", "sharp-peak"],
+)
+def test_smooth_integrands_do_not_warn(f, a, b, rel_tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quadrature.integrate(f, a, b, rel_tol=rel_tol)
