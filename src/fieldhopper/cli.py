@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import units
 from .channel import (
     HoverGeometry,
     edge_success_probability,
@@ -37,7 +36,7 @@ from .channel import (
 from .config import ConfigError, RunConfig, load_config
 from .covering import NormalizedCoverageTable, fit_alpha
 from .field import EstimationInfeasible, optimal_slots_estimation
-from .mission import plan_aggregation, plan_estimation
+from .mission import FieldSpec, plan_aggregation, plan_estimation
 from .simkit import SimConfig, estimate_success_probability
 
 EXIT_OK = 0
@@ -202,7 +201,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             side = float(value)
             table = load_table(cfg)
             rep = plan_aggregation(
-                cfg.field().__class__(side=side, density=cfg.density),
+                FieldSpec(side=side, density=cfg.density),
                 drone, radio, cfg.zeta,
                 m_range=range(cfg.m_min, cfg.m_max + 1), table=table,
                 fixed_beta=cfg.beta, fixed_aloha=cfg.aloha, seed=cfg.seed,

@@ -104,16 +104,11 @@ class ObservationSet:
     the same value) so the kriging system stays well posed.
     """
 
-    def __init__(self, locations, values, source_hl=None):
+    def __init__(self, locations, values):
         locations = np.atleast_2d(np.asarray(locations, dtype=float))
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if len(locations) != len(values):
             raise ValueError("need one value per location")
-        source = (
-            np.zeros(len(values), dtype=int)
-            if source_hl is None
-            else np.atleast_1d(np.asarray(source_hl, dtype=int))
-        )
         keep: list[int] = []
         for i in range(len(locations)):
             dup = False
@@ -125,7 +120,6 @@ class ObservationSet:
                 keep.append(i)
         self.locations = locations[keep]
         self.values = values[keep]
-        self.source_hl = source[keep]
 
     def __len__(self) -> int:
         return len(self.values)

@@ -47,7 +47,13 @@ def _distance_matrix(points: np.ndarray) -> np.ndarray:
 
 
 def held_karp(dist: np.ndarray) -> tuple[list[int], float]:
-    """Exact minimum closed tour through all nodes, starting at node 0."""
+    """Exact minimum closed tour through all nodes, starting at node 0.
+
+    The DP runs one array step per (subset size, last node): every subset of
+    that size ending at node j takes its best predecessor k at once.  Entries
+    outside a subset stay infinite, and ``argmin`` keeps the first minimum,
+    so ties break towards the lowest k.
+    """
     n = dist.shape[0]
     if n == 1:
         return [0], 0.0
@@ -58,18 +64,19 @@ def held_karp(dist: np.ndarray) -> tuple[list[int], float]:
     sub = dist[1:, 1:]
     dp = np.full((size, m), np.inf)
     parent = np.full((size, m), -1, dtype=np.int32)
-    dp[np.arange(m) * 0 + (1 << np.arange(m)), np.arange(m)] = dist[0, 1:]
-    for mask in range(1, size):
-        js = [j for j in range(m) if mask & (1 << j)]
-        if len(js) < 2:
-            continue
-        for j in js:
-            prev = mask ^ (1 << j)
-            cand = dp[prev] + sub[:, j]
-            k = int(np.argmin(cand))
-            if math.isfinite(cand[k]):
-                dp[mask, j] = cand[k]
-                parent[mask, j] = k
+    dp[1 << np.arange(m), np.arange(m)] = dist[0, 1:]
+    masks = np.arange(size)
+    popcount = np.zeros(size, dtype=np.int64)
+    for j in range(m):
+        popcount += (masks >> j) & 1
+    for s in range(2, m + 1):
+        layer = np.flatnonzero(popcount == s)
+        for j in range(m):
+            ends = layer[(layer >> j) & 1 == 1]
+            cand = dp[ends ^ (1 << j)] + sub[:, j]
+            k = np.argmin(cand, axis=1)
+            dp[ends, j] = cand[np.arange(len(ends)), k]
+            parent[ends, j] = k
     full = size - 1
     closing = dp[full] + dist[1:, 0]
     j = int(np.argmin(closing))

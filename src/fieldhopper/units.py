@@ -3,8 +3,7 @@
 Everything inside the library is SI: meters, seconds, watts, hertz, bits,
 radians.  Configuration files and the CLI accept the units that deployment
 notes are usually written in (dBm, km/h, kB, kHz, degrees) and convert once,
-here.  Keeping the conversions in a single module makes them round-trip
-exactly, which the CLI relies on when echoing configuration back to disk.
+here.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ def kmh_to_mps(kmh: float) -> float:
     return kmh * KMH
 
 
-def mps_to_kmh(mps: float) -> float:
-    return mps / KMH
-
-
 def kmh_per_s_to_mps2(q: float) -> float:
     """Acceleration given as km/h gained per second."""
     return q * KMH_PER_S
@@ -49,26 +44,5 @@ def kb_to_bits(kb: float) -> float:
     return kb * KIB * 8
 
 
-def bits_to_kb(bits: float) -> float:
-    return bits / (KIB * 8)
-
-
 def khz_to_hz(khz: float) -> float:
     return khz * 1e3
-
-
-def hz_to_khz(hz: float) -> float:
-    return hz / 1e3
-
-
-def parse_dbm(text: str) -> float:
-    """Parse a power like ``"-30 dBm"`` into watts."""
-    value = text.strip()
-    if not value.lower().endswith("dbm"):
-        raise ValueError(f"expected a dBm quantity, got {text!r}")
-    return dbm_to_watts(float(value[:-3].strip()))
-
-
-def format_dbm(watts: float) -> str:
-    """Format watts as a dBm string; inverse of :func:`parse_dbm`."""
-    return f"{watts_to_dbm(watts):g} dBm"

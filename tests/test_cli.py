@@ -7,6 +7,7 @@ import pytest
 from fieldhopper import cli
 from fieldhopper.channel import HoverGeometry, success_probability
 from fieldhopper.config import ConfigError, RunConfig, load_config
+from fieldhopper.mission import FieldSpec, plan_aggregation
 
 
 def run(args):
@@ -125,6 +126,23 @@ def test_sweep_radius_uses_beamwidth_altitude(tmp_path):
     geom = HoverGeometry(20.0, 20.0 * math.sqrt(3.0), 0.1)
     want = success_probability(geom, load_config(cfg).radio())
     assert float(row.split(",")[2]) == pytest.approx(want, rel=1e-12)
+
+
+def test_sweep_area_plans_each_side(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m_min = 5\nm_max = 7\n")
+    args = ["sweep", "--config", str(cfg), "--axis", "area", "--grid", "100:150:2",
+            "--out", str(tmp_path), "--label", "area"]
+    assert run(args) == 0
+    lines = (tmp_path / "sweep" / "area" / "sweep.csv").read_text().splitlines()
+    assert lines[1] == "side,best_m,T_total"
+    conf = load_config(cfg)
+    for line, side in zip(lines[2:], (100.0, 150.0)):
+        best = plan_aggregation(
+            FieldSpec(side=side, density=conf.density), conf.drone(), conf.radio(),
+            conf.zeta, m_range=range(5, 8), table=cli.load_table(conf), seed=conf.seed,
+        ).best
+        assert line == ",".join(repr(float(v)) for v in (side, best.m, best.total))
 
 
 @pytest.mark.parametrize("line", ["side_m = -5", "warp_factor = 9", "nakagami_m = 1.5",

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldhopper.tours import (
     held_karp,
@@ -27,6 +29,45 @@ def brute_force(dist):
 def dmat(points):
     d = points[:, None, :] - points[None, :, :]
     return np.sqrt((d**2).sum(axis=2))
+
+
+def _held_karp_reference(dist):
+    """The mask-by-mask loop form of the Held-Karp DP."""
+    n = dist.shape[0]
+    if n == 1:
+        return [0], 0.0
+    if n == 2:
+        return [0, 1], float(dist[0, 1] + dist[1, 0])
+    m = n - 1
+    size = 1 << m
+    sub = dist[1:, 1:]
+    dp = np.full((size, m), np.inf)
+    parent = np.full((size, m), -1, dtype=np.int32)
+    dp[1 << np.arange(m), np.arange(m)] = dist[0, 1:]
+    for mask in range(1, size):
+        js = [j for j in range(m) if mask & (1 << j)]
+        if len(js) < 2:
+            continue
+        for j in js:
+            prev = mask ^ (1 << j)
+            cand = dp[prev] + sub[:, j]
+            k = int(np.argmin(cand))
+            if math.isfinite(cand[k]):
+                dp[mask, j] = cand[k]
+                parent[mask, j] = k
+    full = size - 1
+    closing = dp[full] + dist[1:, 0]
+    j = int(np.argmin(closing))
+    best = float(closing[j])
+    path = [j]
+    mask = full
+    while parent[mask, j] >= 0:
+        k = parent[mask, j]
+        mask ^= 1 << j
+        j = int(k)
+        path.append(j)
+    path.reverse()
+    return [0] + [p + 1 for p in path], best
 
 
 def test_single_center_at_depot():
@@ -54,6 +95,20 @@ def test_held_karp_against_brute_force(rng):
         dist = dmat(pts)
         _, best = held_karp(dist)
         assert best == pytest.approx(brute_force(dist), rel=1e-12)
+
+
+def test_held_karp_matches_loop_reference_bit_for_bit(rng):
+    # points on a 1/3 grid give tied tours and duplicate points
+    for n in range(1, 14):
+        for trial in range(4):
+            pts = rng.random((n, 2)) * 100.0
+            if trial % 2:
+                pts = np.round(rng.random((n, 2)) * 3.0) / 3.0
+            dist = dmat(pts)
+            order, length = held_karp(dist)
+            ref_order, ref_length = _held_karp_reference(dist)
+            assert order == ref_order
+            assert length == ref_length
 
 
 def test_exact_le_two_opt_le_nearest_neighbor(rng):
@@ -129,3 +184,31 @@ def test_mdmtsp_multiple_depots(rng):
     assert len(tours) == 2
     assert {t.depot for t in tours} == {(0.0, 0.0), (100.0, 100.0)}
     assert sorted(s for t in tours for s in t.order) == list(range(10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    stops=st.lists(
+        st.tuples(st.integers(0, 10), st.integers(0, 10)), min_size=1, max_size=14
+    ),
+    depots=st.lists(
+        st.tuples(st.integers(0, 10), st.integers(0, 10)), min_size=1, max_size=2
+    ),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 3),
+)
+def test_mdmtsp_invariants(stops, depots, k, seed):
+    # an integer grid makes duplicate stops and depots on stops likely
+    centers = np.array(stops, dtype=float) * 10.0
+    depots = [(10.0 * x, 10.0 * y) for x, y in depots]
+    k = min(k, len(centers))
+    tours = solve_minmax_mdmtsp(centers, depots, k, seed=seed)
+    assert len(tours) == k
+    assert sorted(s for t in tours for s in t.order) == list(range(len(centers)))
+    for tour in tours:
+        assert tour.total_distance == sum(tour.hop_distances)
+        route = np.vstack([tour.depot, centers[list(tour.order)], tour.depot])
+        legs = np.linalg.norm(np.diff(route, axis=0), axis=1)
+        assert tour.total_distance == pytest.approx(legs.sum(), rel=1e-12, abs=1e-9)
+    if k == 1:
+        assert tours[0] == solve_tsp(centers, depots[0])

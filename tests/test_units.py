@@ -16,22 +16,13 @@ def test_dbm_reference_points():
     assert units.dbm_to_watts(0.0) == pytest.approx(1e-3)
 
 
-def test_dbm_string_round_trip():
-    assert units.parse_dbm("-30 dBm") == pytest.approx(1e-6)
-    assert units.format_dbm(units.parse_dbm("-30 dBm")) == "-30 dBm"
-    assert units.format_dbm(units.parse_dbm("-80 dBm")) == "-80 dBm"
-
-
 def test_dbm_rejects_nonpositive_and_garbage():
     with pytest.raises(ValueError):
         units.watts_to_dbm(0.0)
-    with pytest.raises(ValueError):
-        units.parse_dbm("-30 W")
 
 
 def test_speed_and_accel():
     assert units.kmh_to_mps(20.0) == pytest.approx(5.5555555556)
-    assert units.mps_to_kmh(units.kmh_to_mps(36.0)) == pytest.approx(36.0)
     # per-second ramp vs the literal square-hour unit differ by 3600x
     assert units.kmh_per_s_to_mps2(10.0) == pytest.approx(2.7777777778)
     assert units.kmh2_to_mps2(10.0) * 3600.0 == pytest.approx(units.kmh_per_s_to_mps2(10.0))
@@ -39,6 +30,4 @@ def test_speed_and_accel():
 
 def test_packet_and_bandwidth():
     assert units.kb_to_bits(5.0) == 40960.0
-    assert units.bits_to_kb(40960.0) == 5.0
     assert units.khz_to_hz(200.0) == 200000.0
-    assert units.hz_to_khz(2e5) == 200.0
