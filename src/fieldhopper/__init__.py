@@ -47,7 +47,6 @@ from .mission import (
     FieldSpec,
     MissionReport,
     multi_uav_total,
-    optimal_m_vs_area,
     plan_aggregation,
     plan_estimation,
 )
@@ -56,10 +55,8 @@ from .simkit import (
     SimConfig,
     SimStats,
     SquareRegion,
-    estimate_edge_mse,
     estimate_plan_edge_mse,
     estimate_success_probability,
-    run_aloha_slot,
     sample_ppp,
 )
 from .tours import Tour, solve_minmax_mdmtsp, solve_tsp

@@ -30,12 +30,11 @@ from .channel import (
     edge_success_probability,
     hover_time_aggregation,
     optimal_aloha,
-    slot_duration,
     success_probability,
 )
 from .config import ConfigError, RunConfig, load_config
 from .covering import NormalizedCoverageTable, fit_alpha
-from .field import EstimationInfeasible, optimal_slots_estimation
+from .field import EstimationInfeasible
 from .mission import FieldSpec, plan_aggregation, plan_estimation
 from .simkit import SimConfig, estimate_success_probability
 
@@ -161,67 +160,75 @@ def _sweep_grid(spec: str) -> np.ndarray:
     return np.linspace(float(lo), float(hi), int(n))
 
 
+def _sweep_beta(cfg, geom, value):
+    link = cfg.radio().with_(beta=value)
+    if cfg.aloha is None:
+        link = link.with_(aloha=optimal_aloha(geom, link))
+    p = success_probability(geom, link)
+    thr = p * math.log2(1.0 + link.beta)
+    hover = hover_time_aggregation(1, cfg.zeta, geom, link)
+    header = "beta,aloha,p_success,throughput_bps_hz,hover_s"
+    return header, (value, link.aloha, p, thr, hover), link
+
+
+def _sweep_aloha(cfg, geom, value):
+    link = cfg.radio().with_(aloha=value)
+    p = success_probability(geom, link)
+    return "a,p_success,throughput_bps_hz", (value, p, p * math.log2(1.0 + link.beta)), link
+
+
+def _sweep_radius(cfg, geom, value):
+    g = HoverGeometry(value, cfg.drone().altitude_for_radius(value), cfg.density)
+    radio = cfg.radio()
+    link = radio.with_(aloha=optimal_aloha(g, radio)) if cfg.aloha is None else radio
+    p = success_probability(g, link)
+    hover = hover_time_aggregation(1, cfg.zeta, g, link)
+    return "R,aloha,p_success,hover_s", (value, link.aloha, p, hover), None
+
+
+def _sweep_probe_radius(cfg, geom, value):
+    p = edge_success_probability(geom, cfg.radio(), value)
+    return "R_mse,p_edge_success", (value, p), None
+
+
+def _sweep_area(cfg, geom, value):
+    best = plan_aggregation(
+        FieldSpec(side=value, density=cfg.density),
+        cfg.drone(), cfg.radio(), cfg.zeta,
+        m_range=range(cfg.m_min, cfg.m_max + 1), table=load_table(cfg),
+        fixed_beta=cfg.beta, fixed_aloha=cfg.aloha, seed=cfg.seed,
+    ).best
+    return "side,best_m,T_total", (value, best.m, best.total), None
+
+
+# axis -> handler(cfg, geom, value) returning (csv header, row, link); a
+# handler returns the link only where ``--with-mc`` simulates it at ``geom``
+_SWEEP_AXES = {
+    "beta": _sweep_beta,
+    "a": _sweep_aloha,
+    "R": _sweep_radius,
+    "R_mse": _sweep_probe_radius,
+    "area": _sweep_area,
+}
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     grid = _sweep_grid(args.grid)
     if grid.size == 0:
         raise SystemExit("empty sweep grid")
-    radio = cfg.radio()
-    drone = cfg.drone()
-    geom = HoverGeometry(args.radius, drone.altitude_for_radius(args.radius), cfg.density)
+    geom = HoverGeometry(args.radius, cfg.drone().altitude_for_radius(args.radius), cfg.density)
     rows = []
-    header = ""
-    for value in grid:
-        if args.axis == "beta":
-            link = radio.with_(beta=float(value))
-            if cfg.aloha is None:
-                link = link.with_(aloha=optimal_aloha(geom, link))
-            p = success_probability(geom, link)
-            thr = p * math.log2(1.0 + link.beta)
-            hover = hover_time_aggregation(1, cfg.zeta, geom, link)
-            header = "beta,aloha,p_success,throughput_bps_hz,hover_s"
-            row = (value, link.aloha, p, thr, hover)
-        elif args.axis == "a":
-            link = radio.with_(aloha=float(value))
-            p = success_probability(geom, link)
-            header = "a,p_success,throughput_bps_hz"
-            row = (value, p, p * math.log2(1.0 + link.beta))
-        elif args.axis == "R":
-            g = HoverGeometry(float(value), drone.altitude_for_radius(float(value)), cfg.density)
-            link = radio.with_(aloha=optimal_aloha(g, radio)) if cfg.aloha is None else radio
-            p = success_probability(g, link)
-            hover = hover_time_aggregation(1, cfg.zeta, g, link)
-            header = "R,aloha,p_success,hover_s"
-            row = (value, link.aloha, p, hover)
-        elif args.axis == "R_mse":
-            p = edge_success_probability(geom, radio, float(value))
-            header = "R_mse,p_edge_success"
-            row = (value, p)
-        elif args.axis == "area":
-            side = float(value)
-            table = load_table(cfg)
-            rep = plan_aggregation(
-                FieldSpec(side=side, density=cfg.density),
-                drone, radio, cfg.zeta,
-                m_range=range(cfg.m_min, cfg.m_max + 1), table=table,
-                fixed_beta=cfg.beta, fixed_aloha=cfg.aloha, seed=cfg.seed,
-            )
-            best = rep.best
-            header = "side,best_m,T_total"
-            row = (side, best.m, best.total)
-        else:
-            raise SystemExit(f"unknown sweep axis {args.axis!r}")
-        rows.append(",".join(repr(float(v)) for v in row))
-    if args.with_mc and args.axis in ("beta", "a"):
-        header += ",mc_p_success,mc_se"
-        for i, value in enumerate(grid):
-            link = radio.with_(beta=float(value)) if args.axis == "beta" else radio.with_(aloha=float(value))
-            if args.axis == "beta" and cfg.aloha is None:
-                link = link.with_(aloha=optimal_aloha(geom, link))
+    for i, value in enumerate(grid):
+        header, row, link = _SWEEP_AXES[args.axis](cfg, geom, float(value))
+        line = ",".join(repr(float(v)) for v in row)
+        if args.with_mc and link is not None:
+            header += ",mc_p_success,mc_se"
             sim = SimConfig(geom=geom, radio=link, slots=args.slots,
                             replications=args.replications, seed=cfg.seed + i)
             st = estimate_success_probability(sim)
-            rows[i] += f",{st.p_success!r},{st.p_success_se!r}"
+            line += f",{st.p_success!r},{st.p_success_se!r}"
+        rows.append(line)
     out = _out_dir(cfg, "sweep")
     _write_csv(out / "sweep.csv", cfg, header, rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
@@ -331,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one parameter")
     add_common(p)
-    p.add_argument("--axis", choices=("beta", "a", "R", "R_mse", "area"), required=True)
+    p.add_argument("--axis", choices=tuple(_SWEEP_AXES), required=True)
     p.add_argument("--grid", required=True, help="lo:hi:n")
     p.add_argument("--radius", type=float, default=20.0, help="hover radius for link sweeps")
     p.add_argument("--zeta", type=float, default=None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "plan_aggregation",
     "plan_estimation",
     "multi_uav_total",
-    "optimal_m_vs_area",
 ]
 
 
@@ -207,12 +206,6 @@ def _tours_and_travel(
     return total, per_uav[worst].travel_time, per_uav, worst
 
 
-def _default_depots(field: FieldSpec, depots) -> np.ndarray:
-    if depots is None:
-        return np.array([[field.side / 2.0, field.side / 2.0]])
-    return np.atleast_2d(np.asarray(depots, dtype=float))
-
-
 def _sweep(records: list[MissionRecord], stop_after: int = 3) -> bool:
     """True when the total has been rising for ``stop_after`` consecutive M."""
     feasible = [r for r in records if r.feasible]
@@ -220,6 +213,49 @@ def _sweep(records: list[MissionRecord], stop_after: int = 3) -> bool:
         return False
     tail = feasible[-(stop_after + 1):]
     return all(b.total > a.total for a, b in zip(tail[:-1], tail[1:]))
+
+
+def _plan(
+    kind: str,
+    price: Callable[[int, HoverGeometry], dict],
+    field: FieldSpec,
+    drone: DroneSpec,
+    m_range: Sequence[int],
+    k: int,
+    depots,
+    table: NormalizedCoverageTable | None,
+    paper_literal_kinematics: bool,
+    seed: int,
+) -> MissionReport:
+    """The M sweep both missions share; they differ only in ``price(m, geom)``,
+    which returns the record's link and hover fields, with ``feasible=False``
+    when the hover target cannot be met (travel is then not priced).
+    """
+    table = table if table is not None else NormalizedCoverageTable(seed=seed)
+    if depots is None:
+        depots = [(field.side / 2.0, field.side / 2.0)]
+    depots_arr = np.atleast_2d(np.asarray(depots, dtype=float))
+    report = MissionReport(kind=kind, field=field, uavs=k)
+    for m in m_range:
+        if k > m:
+            continue
+        plan = table.plan(m, field.side, drone.beamwidth)
+        hover_fields = price(m, HoverGeometry(plan.radius, plan.altitude, field.density))
+        record = MissionRecord(
+            m=m, radius=plan.radius, altitude=plan.altitude,
+            hover_total=m * hover_fields["hover_per_hl"], travel=math.nan,
+            total=math.inf, **hover_fields,
+        )
+        if record.feasible:
+            (record.total, record.travel, record.per_uav,
+             record.bottleneck_uav) = _tours_and_travel(
+                plan.centers, depots_arr, k, drone, record.hover_per_hl,
+                paper_literal_kinematics, seed,
+            )
+        report.records.append(record)
+        if _sweep(report.records):
+            break
+    return report
 
 
 def plan_aggregation(
@@ -244,38 +280,18 @@ def plan_aggregation(
     """
     if zeta < 0:
         raise ValueError("zeta must be non-negative")
-    table = table if table is not None else NormalizedCoverageTable(seed=seed)
-    depots_arr = _default_depots(field, depots)
-    report = MissionReport(kind="aggregation", field=field, uavs=k)
-    for m in m_range:
-        if k > m:
-            continue
-        plan = table.plan(m, field.side, drone.beamwidth)
-        geom = HoverGeometry(plan.radius, plan.altitude, field.density)
+
+    def price(m: int, geom: HoverGeometry) -> dict:
         link = _link_for_aggregation(geom, radio, fixed_beta, fixed_aloha)
         p = success_probability(geom, link)
         slots = aggregation_slots(m, zeta, p)
         hover = slots * slot_duration(link) if math.isfinite(slots) else math.inf
-        record = MissionRecord(
-            m=m, radius=plan.radius, altitude=plan.altitude,
-            beta=link.beta, aloha=link.aloha, p_success=p,
-            slots_per_hl=slots, hover_per_hl=hover,
-            hover_total=m * hover, travel=math.nan, total=math.inf,
-            feasible=math.isfinite(hover),
-        )
-        if record.feasible:
-            total, travel, per_uav, worst = _tours_and_travel(
-                plan.centers, depots_arr, k, drone, hover,
-                paper_literal_kinematics, seed,
-            )
-            record.travel = travel
-            record.total = total
-            record.per_uav = per_uav
-            record.bottleneck_uav = worst
-        report.records.append(record)
-        if _sweep(report.records):
-            break
-    return report
+        return dict(beta=link.beta, aloha=link.aloha, p_success=p,
+                    slots_per_hl=slots, hover_per_hl=hover,
+                    feasible=math.isfinite(hover))
+
+    return _plan("aggregation", price, field, drone, m_range, k, depots, table,
+                 paper_literal_kinematics, seed)
 
 
 def _link_for_estimation(
@@ -343,81 +359,21 @@ def plan_estimation(
     """
     if not 0.0 < delta < cov.sigma2:
         raise ValueError("delta must lie in (0, sigma2)")
-    table = table if table is not None else NormalizedCoverageTable(seed=seed)
-    depots_arr = _default_depots(field, depots)
-    report = MissionReport(kind="estimation", field=field, uavs=k)
-    for m in m_range:
-        if k > m:
-            continue
-        plan = table.plan(m, field.side, drone.beamwidth)
-        geom = HoverGeometry(plan.radius, plan.altitude, field.density)
+
+    def price(m: int, geom: HoverGeometry) -> dict:
         try:
             link, budget = _link_for_estimation(
                 geom, radio, cov, delta, fixed_beta, fixed_aloha
             )
         except EstimationInfeasible:
-            report.records.append(
-                MissionRecord(
-                    m=m, radius=plan.radius, altitude=plan.altitude,
-                    beta=radio.beta, aloha=radio.aloha, p_success=0.0,
-                    slots_per_hl=math.inf, hover_per_hl=math.inf,
-                    hover_total=math.inf, travel=math.nan, total=math.inf,
-                    feasible=False,
-                )
-            )
-            continue
-        hover = budget.hover_time
-        record = MissionRecord(
-            m=m, radius=plan.radius, altitude=plan.altitude,
-            beta=link.beta, aloha=link.aloha,
-            p_success=success_probability(geom, link),
-            slots_per_hl=budget.j_star, hover_per_hl=hover,
-            hover_total=m * hover, travel=math.nan, total=math.inf,
-            r_mse=budget.r_mse, rho=budget.rho,
-            p_edge_success=budget.p_edge_success,
-        )
-        total, travel, per_uav, worst = _tours_and_travel(
-            plan.centers, depots_arr, k, drone, hover,
-            paper_literal_kinematics, seed,
-        )
-        record.travel = travel
-        record.total = total
-        record.per_uav = per_uav
-        record.bottleneck_uav = worst
-        report.records.append(record)
-        if _sweep(report.records):
-            break
-    return report
+            return dict(beta=radio.beta, aloha=radio.aloha, p_success=0.0,
+                        slots_per_hl=math.inf, hover_per_hl=math.inf,
+                        feasible=False)
+        return dict(beta=link.beta, aloha=link.aloha,
+                    p_success=success_probability(geom, link),
+                    slots_per_hl=budget.j_star, hover_per_hl=budget.hover_time,
+                    r_mse=budget.r_mse, rho=budget.rho,
+                    p_edge_success=budget.p_edge_success)
 
-
-def optimal_m_vs_area(
-    sides: Sequence[float],
-    kind: str,
-    field_density: float,
-    drone: DroneSpec,
-    radio: RadioSpec,
-    table: NormalizedCoverageTable,
-    zeta: float | None = None,
-    cov: CovarianceSpec | None = None,
-    delta: float | None = None,
-    strict: bool = False,
-    **kwargs,
-) -> list[tuple[float, MissionReport]]:
-    """Best M per field size; M* should not shrink as the field grows."""
-    if len(sides) < 2:
-        raise ValueError("need at least two field sizes")
-    out: list[tuple[float, MissionReport]] = []
-    for side in sides:
-        fld = FieldSpec(side=side, density=field_density)
-        if kind == "aggregation":
-            rep = plan_aggregation(fld, drone, radio, zeta, table=table, **kwargs)
-        elif kind == "estimation":
-            rep = plan_estimation(fld, drone, radio, cov, delta, table=table, **kwargs)
-        else:
-            raise ValueError(f"unknown mission kind {kind!r}")
-        out.append((side, rep))
-    if strict:
-        best = [rep.best_m for _, rep in sorted(out, key=lambda t: t[0])]
-        if any(b < a for a, b in zip(best[:-1], best[1:])):
-            raise RuntimeError(f"optimal M not monotone in area: {best}")
-    return out
+    return _plan("estimation", price, field, drone, m_range, k, depots, table,
+                 paper_literal_kinematics, seed)

@@ -23,11 +23,8 @@ __all__ = [
     "SquareRegion",
     "SimConfig",
     "SimStats",
-    "SlotOutcome",
     "sample_ppp",
-    "run_aloha_slot",
     "estimate_success_probability",
-    "estimate_edge_mse",
     "estimate_plan_edge_mse",
 ]
 
@@ -119,39 +116,9 @@ class SimStats:
         return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
-    success: bool
-    winner: int | None
-    sinr: np.ndarray
-
-
 def _slant(nodes: np.ndarray, center: np.ndarray, altitude: float) -> np.ndarray:
     ground = np.linalg.norm(nodes - center, axis=1)
     return np.sqrt(ground**2 + altitude**2)
-
-
-def run_aloha_slot(
-    nodes: np.ndarray, geom: HoverGeometry, radio: RadioSpec, seed
-) -> SlotOutcome:
-    """One slotted-ALOHA round over the given nodes (positions are relative
-    to the hover center unless they are absolute and the center is origin)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    n = len(nodes)
-    if n == 0:
-        return SlotOutcome(False, None, np.empty(0))
-    slant = _slant(nodes, np.zeros(2), geom.altitude)
-    active = rng.random(n) < radio.aloha
-    gains = rng.standard_gamma(radio.m, n) / radio.m
-    rx = radio.power * gains * slant ** (-radio.eta) * active
-    total = rx.sum()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(active, rx / (total - rx + radio.noise), 0.0)
-    best = int(np.argmax(sinr)) if active.any() else None
-    if best is None or sinr[best] < radio.beta:
-        return SlotOutcome(False, None, sinr)
-    return SlotOutcome(True, best, sinr)
 
 
 def _simulate_batch(
@@ -243,38 +210,6 @@ def _collect_hover(
     slant = _slant(nodes[covered], center, geom.altitude)
     winners, _ = _simulate_batch(slant, radio, rng, slots)
     return covered[np.unique(winners[winners >= 0])]
-
-
-def estimate_edge_mse(config: SimConfig, r_mse: float, j_slots: int) -> SimStats:
-    """Empirical kriging MSE at a disk-edge probe after ``j_slots`` of ALOHA.
-
-    Single-disk experiment: per replication one node field is drawn over the
-    hover disk, ``j_slots`` rounds are simulated, the Gaussian field is
-    sampled jointly at all node positions plus the probe point, and the probe
-    is kriged from the successfully received observations.
-    """
-    if config.covariance is None:
-        raise ValueError("estimate_edge_mse needs a covariance spec")
-    if config.covariance.nu != 0.5:
-        raise ValueError("edge MSE experiment assumes the exponential kernel")
-    geom, radio, spec = config.geom, config.radio, config.covariance
-    probe = np.array([geom.radius, 0.0])
-    errors = np.empty(config.replications)
-    streams = np.random.SeedSequence(config.seed).spawn(config.replications)
-    for i, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        nodes = sample_ppp(Disk((0.0, 0.0), geom.radius), geom.density, rng)
-        heard = _collect_hover(nodes, np.zeros(2), geom, radio, j_slots, rng)
-        points = np.vstack([nodes, probe[None, :]])
-        values = sample_field(points, spec, rng)
-        obs = ObservationSet(nodes[heard], values[heard])
-        est, _ = krige(obs, probe[None, :], spec)
-        errors[i] = (est[0] - values[-1]) ** 2
-    stats = SimStats(slots=j_slots, replications=config.replications)
-    stats.mse_samples = errors
-    stats.mse_mean = float(errors.mean())
-    stats.mse_se = float(errors.std(ddof=1) / math.sqrt(len(errors))) if len(errors) > 1 else 0.0
-    return stats
 
 
 def estimate_plan_edge_mse(

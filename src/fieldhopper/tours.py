@@ -277,12 +277,13 @@ def solve_minmax_mdmtsp(
         best_max = max(costs)
         if len(groups[worst]) > 1:
             for stop in list(groups[worst]):
+                g_w = groups[worst][groups[worst] != stop]
+                t_w = build(worst, g_w)
                 for other in range(k):
                     if other == worst:
                         continue
-                    g_w = groups[worst][groups[worst] != stop]
                     g_o = np.append(groups[other], stop)
-                    t_w, t_o = build(worst, g_w), build(other, g_o)
+                    t_o = build(other, g_o)
                     trial = costs.copy()
                     trial[worst] = _tour_cost(t_w, stop_cost)
                     trial[other] = _tour_cost(t_o, stop_cost)

@@ -78,6 +78,11 @@ def test_table_monotone_and_anchors(table):
         assert b <= a * 1.005  # non-increasing within heuristic slack
 
 
+def test_table_rows_match_their_centers(table):
+    for m in range(1, table.max_m + 1):
+        assert cover_radius(table.centers(m)) == pytest.approx(table.delta(m), rel=1e-12)
+
+
 def test_table_round_trip(tmp_path, table):
     path = tmp_path / "table.csv"
     table.save(path)

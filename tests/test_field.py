@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldhopper import quadrature
 from fieldhopper.channel import HoverGeometry, edge_success_probability, theta_lens
@@ -87,6 +89,26 @@ def test_krige_interpolates_observations(cov75, rng):
     est, mse = krige(obs, pts, cov75)
     assert np.allclose(est, vals, atol=1e-6)
     assert np.all(mse <= 1e-8 * cov75.sigma2)
+
+
+@st.composite
+def _grid_observations(draw):
+    cells = draw(st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)),
+                          min_size=1, max_size=30, unique=True))
+    values = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(cells),
+                           max_size=len(cells)))
+    return np.array(cells, dtype=float), np.array(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_observations(), st.sampled_from([1.0, 5.0, 75.0, 150.0]),
+       st.floats(0.1, 3.0))
+def test_krige_interpolates_any_grid_observations(obs_xy, b, sigma2):
+    pts, vals = obs_xy
+    spec = CovarianceSpec(sigma2=sigma2, nu=0.5, b=b)
+    est, mse = krige(ObservationSet(pts, vals), pts, spec)
+    assert np.all(np.abs(est - vals) <= 1e-6)
+    assert np.all(mse <= 1e-9 * sigma2)
 
 
 def test_krige_empty_returns_prior(cov75):
@@ -211,6 +233,12 @@ def test_no_success_probability_cases():
 def test_rho_limits():
     assert area_ratio_rho(20.0, 1e-4) == pytest.approx(0.5, abs=1e-4)
     assert area_ratio_rho(20.0, 40.0) == pytest.approx(0.25, rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1.0, 100.0), st.sampled_from([-1e-9, 1e-9]))
+def test_rho_continuous_at_full_lens(cover, eps):
+    assert abs(area_ratio_rho(cover, 2.0 * cover * (1.0 + eps)) - 0.25) <= 1e-9
 
 
 def test_rho_matches_closed_form_lens(rng):

@@ -1,13 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
-from fieldhopper.kinematics import DroneSpec
 from fieldhopper.mission import (
     FieldSpec,
     multi_uav_total,
-    optimal_m_vs_area,
     plan_aggregation,
     plan_estimation,
 )
@@ -132,21 +128,15 @@ def test_k_larger_than_m_skipped(deployment, drone, radio, table):
     assert [r.m for r in report.records] == [3, 4]
 
 
-def test_optimal_m_identical_sizes(deployment, drone, radio, table):
-    out = optimal_m_vs_area(
-        [100.0, 100.0], "aggregation", 0.1, drone, radio, table, zeta=250.0,
-        m_range=range(1, 11),
-    )
-    assert out[0][1].best_m == out[1][1].best_m
-
-
-def test_optimal_m_monotone_in_area(deployment, drone, radio, table):
-    out = optimal_m_vs_area(
-        [100.0, 200.0], "aggregation", 0.1, drone, radio, table, zeta=250.0,
-        m_range=range(1, 19), strict=True,
-    )
-    best = [rep.best_m for _, rep in out]
-    assert best[1] >= best[0]
+def test_optimal_m_not_shrinking_with_area(drone, radio, table):
+    best = [
+        plan_aggregation(
+            FieldSpec(side=side, density=0.1), drone, radio, zeta=250.0,
+            m_range=range(1, 19), table=table,
+        ).best_m
+        for side in (100.0, 100.0, 200.0)
+    ]
+    assert best[0] == best[1] <= best[2]
 
 
 def test_quadrupled_area_scales_leading_travel_term(drone, table):

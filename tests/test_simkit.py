@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from fieldhopper.channel import HoverGeometry
 from fieldhopper.simkit import (
     Disk,
     SimConfig,
     SquareRegion,
-    estimate_edge_mse,
+    _simulate_batch,
+    _slant,
+    estimate_plan_edge_mse,
     estimate_success_probability,
-    run_aloha_slot,
     sample_ppp,
 )
 
@@ -44,33 +44,39 @@ def test_ppp_points_inside_region():
     assert np.all((pts >= 0.0) & (pts <= 50.0))
 
 
+def _disk_slant(geom, seed):
+    nodes = sample_ppp(Disk((0.0, 0.0), geom.radius), geom.density, seed)
+    return _slant(nodes, np.zeros(2), geom.altitude)
+
+
 def test_slot_no_transmissions(geom20, radio):
-    nodes = sample_ppp(Disk((0.0, 0.0), 20.0), 0.1, seed=6)
-    out = run_aloha_slot(nodes, geom20, radio.with_(aloha=0.0), seed=7)
-    assert not out.success and out.winner is None
+    slant = _disk_slant(geom20, seed=6)
+    winners, multi = _simulate_batch(
+        slant, radio.with_(aloha=0.0), np.random.default_rng(7), slots=1
+    )
+    assert np.all(winners == -1) and multi == 0
 
 
 def test_slot_single_node_gamma_tail(geom20, radio):
     # one node at nadir, always transmitting: capture iff its fade beats the
     # noise-scaled threshold, i.e. a Gamma(m, m) tail
-    node = np.zeros((1, 2))
+    slant = np.array([geom20.altitude])
     for m in (1, 3):
         spec = radio.with_(m=m, aloha=1.0)
         threshold = spec.beta * geom20.altitude**spec.eta * spec.noise / spec.power
         want = special.gammaincc(m, m * threshold)
-        rng = np.random.default_rng(100 + m)
         n = 4000
-        hits = sum(run_aloha_slot(node, geom20, spec, rng).success for _ in range(n))
+        winners, _ = _simulate_batch(slant, spec, np.random.default_rng(100 + m), n)
+        hits = int((winners >= 0).sum())
         se = math.sqrt(want * (1.0 - want) / n)
         assert abs(hits / n - want) <= 3.0 * se
 
 
 def test_capture_uniqueness_above_unit_threshold(geom20, radio):
     rng = np.random.default_rng(8)
-    nodes = sample_ppp(Disk((0.0, 0.0), 20.0), 0.1, rng)
-    for _ in range(2000):
-        out = run_aloha_slot(nodes, geom20, radio.with_(aloha=0.05), rng)
-        assert np.count_nonzero(out.sinr >= radio.beta) <= 1
+    slant = _disk_slant(geom20, rng)
+    _, multi = _simulate_batch(slant, radio.with_(aloha=0.05), rng, 2000)
+    assert multi == 0
 
 
 def test_batch_capture_uniqueness(geom20, radio):
@@ -124,10 +130,16 @@ def test_edge_probe_counts(geom20, radio):
     assert 0.0 < st.p_edge_success < st.p_success
 
 
+def _edge_mse(geom, config, j_slots):
+    # one hover at (R, R) in a 2R square, kriged at the disk-edge probe (2R, R)
+    R = geom.radius
+    return estimate_plan_edge_mse(config, [(R, R)], 2.0 * R, j_slots, [(2.0 * R, R)])
+
+
 def test_edge_mse_no_slots_is_prior(geom20, radio, cov75):
     cfg = SimConfig(geom=geom20, radio=radio, slots=1, replications=60, seed=15,
                     covariance=cov75)
-    st = estimate_edge_mse(cfg, r_mse=7.5, j_slots=0)
+    st = _edge_mse(geom20, cfg, j_slots=0)
     assert st.mse_mean == pytest.approx(cov75.sigma2, abs=0.25)
 
 
@@ -135,17 +147,21 @@ def test_edge_mse_saturates_below_target(geom20, radio, cov75):
     # ten times the designed budget drives the error well under the target
     cfg = SimConfig(geom=geom20, radio=radio.with_(aloha=0.0127), slots=1,
                     replications=60, seed=16, covariance=cov75)
-    st = estimate_edge_mse(cfg, r_mse=7.5, j_slots=800)
+    st = _edge_mse(geom20, cfg, j_slots=800)
     assert st.mse_mean < 0.1
 
 
-def test_edge_mse_requires_exponential_kernel(geom20, radio):
-    from fieldhopper.field import CovarianceSpec
+def test_plan_edge_mse_replays(geom20, radio, cov75):
+    # bit for bit at the suite's pinned BLAS thread count
+    def run(seed):
+        cfg = SimConfig(geom=geom20, radio=radio, slots=1, replications=3, seed=seed,
+                        covariance=cov75)
+        centers = [(20.0, 20.0), (60.0, 20.0)]
+        return estimate_plan_edge_mse(cfg, centers, 80.0, 50, [(40.0, 20.0), (80.0, 20.0)])
 
-    cfg = SimConfig(geom=geom20, radio=radio, slots=1, replications=2, seed=17,
-                    covariance=CovarianceSpec(1.0, 1.5, 75.0))
-    with pytest.raises(ValueError):
-        estimate_edge_mse(cfg, r_mse=5.0, j_slots=10)
+    a, b, c = run(21), run(21), run(22)
+    assert np.array_equal(a.mse_samples, b.mse_samples)
+    assert not np.array_equal(a.mse_samples, c.mse_samples)
 
 
 def test_sim_config_validation(geom20, radio):
