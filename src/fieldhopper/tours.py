@@ -246,10 +246,13 @@ def solve_minmax_mdmtsp(
     cap = math.ceil(m / k)
     d = np.linalg.norm(centers[:, None, :] - seeds[None, :, :], axis=2)
     counts = np.bincount(assign, minlength=k)
-    while counts.max() > cap:
+    # coincident stops can leave a cluster empty; fill empty clusters first,
+    # then cap the oversized ones (k <= m, so a donor always keeps a stop)
+    while counts.max() > cap or counts.min() == 0:
         c = int(np.argmax(counts))
         members = np.flatnonzero(assign == c)
-        open_clusters = np.flatnonzero(counts < cap)
+        is_open = counts == 0 if counts.min() == 0 else counts < cap
+        open_clusters = np.flatnonzero(is_open)
         # move the member that loses least by switching to an open cluster
         penalties = d[np.ix_(members, open_clusters)] - d[members, c][:, None]
         i, j = np.unravel_index(np.argmin(penalties), penalties.shape)

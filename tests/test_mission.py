@@ -128,15 +128,24 @@ def test_k_larger_than_m_skipped(deployment, drone, radio, table):
     assert [r.m for r in report.records] == [3, 4]
 
 
-def test_optimal_m_not_shrinking_with_area(drone, radio, table):
-    best = [
+def _best_m_per_side(sides, drone, radio, table, m_range):
+    return [
         plan_aggregation(
             FieldSpec(side=side, density=0.1), drone, radio, zeta=250.0,
-            m_range=range(1, 19), table=table,
+            m_range=m_range, table=table,
         ).best_m
-        for side in (100.0, 100.0, 200.0)
+        for side in sides
     ]
-    assert best[0] == best[1] <= best[2]
+
+
+def test_optimal_m_identical_sizes(drone, radio, table):
+    best = _best_m_per_side((100.0, 100.0), drone, radio, table, range(1, 11))
+    assert best[0] == best[1]
+
+
+def test_optimal_m_monotone_in_area(drone, radio, table):
+    best = _best_m_per_side((100.0, 200.0), drone, radio, table, range(1, 19))
+    assert best[1] >= best[0]
 
 
 def test_quadrupled_area_scales_leading_travel_term(drone, table):

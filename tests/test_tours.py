@@ -177,6 +177,16 @@ def test_mdmtsp_never_longer_than_single_tour(table):
     assert max(t.total_distance for t in tours) <= single
 
 
+def test_mdmtsp_coincident_stops_fill_every_vehicle():
+    # all stops on one point: k-means puts them in one cluster, and the split
+    # must still hand every vehicle a stop
+    centers = np.zeros((4, 2))
+    tours = solve_minmax_mdmtsp(centers, [(0.0, 0.0)], 3, seed=0)
+    assert len(tours) == 3
+    assert all(t.order for t in tours)
+    assert sorted(s for t in tours for s in t.order) == [0, 1, 2, 3]
+
+
 def test_mdmtsp_multiple_depots(rng):
     pts = rng.random((10, 2)) * 100.0
     depots = [(0.0, 0.0), (100.0, 100.0)]
