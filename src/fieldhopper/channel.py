@@ -12,9 +12,11 @@ The capture probabilities integrate a per-transmitter kernel over the disk.
 Its interference integrals depend on the link only through (m, eta, beta), so
 the kernel reads them from a Chebyshev interpolant in slant range, built once
 per geometry and link and cached; the public Laplace functions integrate them
-directly.  The disk capture probability sums the kernel on fixed nodes whose
-interference values are cached per link too, so a transmit-probability trial
-costs one exponential per node.
+directly with the fixed Gauss rule of :mod:`fieldhopper.quadrature` (two
+64-point panels on [h, d], checked against one).  The disk capture
+probability sums the kernel on fixed nodes whose interference values are
+cached per link too, so a transmit-probability trial costs one exponential
+per node.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ __all__ = [
     "slot_duration",
     "hover_time_aggregation",
 ]
-
-_REL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class RadioSpec:
@@ -124,7 +123,7 @@ def _q_derivative(j: int, s: np.ndarray, geom: HoverGeometry, m: int, eta: float
         def f(r: np.ndarray) -> np.ndarray:
             x = r[None, :] ** (-eta) / m
             return (1.0 - (1.0 + s[:, None] * x) ** (-m)) * r[None, :]
-        return quadrature.integrate(f, h, d, rel_tol=_REL_TOL)
+        return quadrature.integrate(f, h, d)
     rising = 1.0
     for i in range(j):
         rising *= m + i
@@ -134,7 +133,7 @@ def _q_derivative(j: int, s: np.ndarray, geom: HoverGeometry, m: int, eta: float
         x = r[None, :] ** (-eta) / m
         return x**j * (1.0 + s[:, None] * x) ** (-(m + j)) * r[None, :]
 
-    return sign * rising * quadrature.integrate(f, h, d, rel_tol=_REL_TOL)
+    return sign * rising * quadrature.integrate(f, h, d)
 
 
 def _laplace_from_q(

@@ -17,6 +17,7 @@ identical bytes.  Exit codes: 0 success, 2 infeasible plan (or usage error),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -191,11 +192,11 @@ def _sweep_probe_radius(cfg, geom, value):
     return "R_mse,p_edge_success", (value, p), None
 
 
-def _sweep_area(cfg, geom, value):
+def _sweep_area(cfg, geom, value, table):
     best = plan_aggregation(
         FieldSpec(side=value, density=cfg.density),
         cfg.drone(), cfg.radio(), cfg.zeta,
-        m_range=range(cfg.m_min, cfg.m_max + 1), table=load_table(cfg),
+        m_range=range(cfg.m_min, cfg.m_max + 1), table=table,
         fixed_beta=cfg.beta, fixed_aloha=cfg.aloha, seed=cfg.seed,
     ).best
     return "side,best_m,T_total", (value, best.m, best.total), None
@@ -218,9 +219,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if grid.size == 0:
         raise SystemExit("empty sweep grid")
     geom = HoverGeometry(args.radius, cfg.drone().altitude_for_radius(args.radius), cfg.density)
+    sweep = _SWEEP_AXES[args.axis]
+    if args.axis == "area":
+        # one table for every side, so a missing table file is built once
+        sweep = functools.partial(sweep, table=load_table(cfg))
     rows = []
     for i, value in enumerate(grid):
-        header, row, link = _SWEEP_AXES[args.axis](cfg, geom, float(value))
+        header, row, link = sweep(cfg, geom, float(value))
         line = ",".join(repr(float(v)) for v in row)
         if args.with_mc and link is not None:
             header += ",mc_p_success,mc_se"

@@ -10,6 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from fieldhopper.channel import HoverGeometry, RadioSpec
 from fieldhopper.cli import packaged_table_path
@@ -29,6 +30,17 @@ REFERENCE_ALPHA = [
     3.37, 3.56, 3.99, 4.05, 4.14, 4.26, 4.16, 4.48, 4.44, 4.61,
     4.86, 5.47, 5.06, 5.26,
 ]
+
+
+def reference_quad(f, lo, hi):
+    """Integral of a vectorized ``f`` over [lo, hi] by QUADPACK at 1e-13 relative.
+
+    Independent of ``fieldhopper.quadrature``, so it can serve as a reference.
+    """
+    value, _ = integrate.quad(
+        lambda x: float(f(np.array([x]))[0]), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200
+    )
+    return value
 
 
 @pytest.fixture(scope="session")

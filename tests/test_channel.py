@@ -3,12 +3,14 @@ import warnings
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning
 
-from fieldhopper import channel, quadrature
+from fieldhopper import channel
 from fieldhopper.channel import (
     HoverGeometry,
     RadioSpec,
@@ -22,6 +24,8 @@ from fieldhopper.channel import (
     success_probability,
     theta_lens,
 )
+
+from conftest import reference_quad
 
 
 def test_radio_validation():
@@ -250,6 +254,39 @@ GEOMETRIES = [
 ]
 
 
+def mpmath_laplace_derivative(k, s, geom, radio):
+    """L^(k)(s) at 40 digits: mpmath differentiates exp(-s N/P - 2 pi lambda a Q_0(s)),
+    with Q_0 by ``mpmath.quad`` on [h, d]."""
+    h = mpmath.mpf(geom.altitude)
+    d = mpmath.sqrt(mpmath.mpf(geom.radius) ** 2 + h**2)
+    m, eta = radio.m, mpmath.mpf(radio.eta)
+    area_rate = 2 * mpmath.pi * mpmath.mpf(geom.density) * mpmath.mpf(radio.aloha)
+    noise_ratio = mpmath.mpf(radio.noise) / mpmath.mpf(radio.power)
+
+    def laplace(t):
+        q = mpmath.quad(lambda r: (1 - (1 + t * r ** (-eta) / m) ** (-m)) * r, [h, d])
+        return mpmath.exp(-t * noise_ratio - area_rate * q)
+
+    return mpmath.diff(laplace, mpmath.mpf(s), k)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("cover,altitude", GEOMETRIES)
+def test_laplace_functions_match_mpmath(radio, m, cover, altitude):
+    geom = HoverGeometry(cover, altitude, 0.1)
+    # every sensor transmits, so log L reaches -500 and a relative error in
+    # Q_0 shows in L up to 500 times larger
+    link = radio.with_(m=m, aloha=1.0)
+    with mpmath.workdps(40):
+        # capture thresholds at the near, middle and far slant ranges
+        for r in (geom.altitude, 0.5 * (geom.altitude + geom.slant), geom.slant):
+            s = m * link.beta * r**link.eta
+            want = [float(mpmath_laplace_derivative(k, s, geom, link)) for k in range(m)]
+            got = [laplace_interference(s, geom, link)]
+            got += [laplace_derivative(k, s, geom, link) for k in range(1, m)]
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def exact_kernel(r, geom, radio):
     """Gamma-tail capture kernel from the nested-quadrature Laplace derivatives."""
     s = radio.m * radio.beta * r**radio.eta
@@ -260,7 +297,7 @@ def exact_kernel(r, geom, radio):
 
 
 def edge_reference(geom, radio, r_mse):
-    """Adaptive integral over ground distance at rel_tol 1e-13, split at the lens kink."""
+    """Adaptive integral over ground distance at 1e-13 relative, split at the lens kink."""
     h, cover = geom.altitude, geom.radius
 
     def integrand(w):
@@ -268,10 +305,7 @@ def edge_reference(geom, radio, r_mse):
         return channel._capture_kernel(slant, geom, radio) * w * theta_lens(w, cover, r_mse)
 
     breaks = sorted({0.0, cover} | {w for w in (abs(r_mse - cover),) if 0.0 < w < cover})
-    total = sum(
-        float(quadrature.integrate(integrand, lo, hi, rel_tol=1e-13))
-        for lo, hi in zip(breaks[:-1], breaks[1:])
-    )
+    total = sum(reference_quad(integrand, lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:]))
     return radio.aloha * geom.density * total
 
 
@@ -346,19 +380,17 @@ def test_theta_lens_thin_lens_is_accurate():
 
 
 def disk_reference(geom, radio):
-    """2 pi a lambda int_h^d K(r) r dr, adaptive at rel_tol 1e-13 with the same kernel."""
+    """2 pi a lambda int_h^d K(r) r dr, adaptive at 1e-13 relative with the same kernel."""
     def integrand(r):
         return channel._capture_kernel(r, geom, radio) * r
 
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = quadrature.integrate(
-            integrand, geom.altitude, geom.slant, rel_tol=1e-13, max_depth=12
-        )
-    p = 2.0 * math.pi * radio.aloha * geom.density * float(value)
+        warnings.simplefilter("always", IntegrationWarning)
+        value = reference_quad(integrand, geom.altitude, geom.slant)
+    p = 2.0 * math.pi * radio.aloha * geom.density * value
     # near the underflow floor the kernel's own rounding exceeds 1e-13
-    # relative, so a reference may stop at max_depth; only the absolute bar
-    # applies to values that small
+    # relative, so the reference may report that it missed its tolerance;
+    # only the absolute bar applies to values that small
     assert not caught or p < 1e-200
     return p
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fieldhopper import cli
+from fieldhopper import cli, covering
 from fieldhopper.channel import HoverGeometry, success_probability
 from fieldhopper.config import ConfigError, RunConfig, load_config
 from fieldhopper.mission import FieldSpec, plan_aggregation
@@ -141,6 +141,31 @@ def test_sweep_area_plans_each_side(tmp_path):
         best = plan_aggregation(
             FieldSpec(side=side, density=conf.density), conf.drone(), conf.radio(),
             conf.zeta, m_range=range(5, 8), table=cli.load_table(conf), seed=conf.seed,
+        ).best
+        assert line == ",".join(repr(float(v)) for v in (side, best.m, best.total))
+
+
+def test_sweep_area_builds_a_missing_table_once(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"m_max = 3\nrestarts = 4\ntable = {tmp_path / 'missing.csv'}\n")
+    solves = []
+    solve = covering.solve_unit_covering
+
+    def counted(m, *args, **kwargs):
+        solves.append(m)
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(covering, "solve_unit_covering", counted)
+    args = ["sweep", "--config", str(cfg), "--axis", "area", "--grid", "100:200:3",
+            "--out", str(tmp_path), "--label", "area"]
+    assert run(args) == 0
+    assert sorted(solves) == [1, 2, 3]
+    lines = (tmp_path / "sweep" / "area" / "sweep.csv").read_text().splitlines()
+    conf = load_config(cfg)
+    for line, side in zip(lines[2:], (100.0, 150.0, 200.0), strict=True):
+        best = plan_aggregation(
+            FieldSpec(side=side, density=conf.density), conf.drone(), conf.radio(),
+            conf.zeta, m_range=range(1, 4), table=cli.load_table(conf), seed=conf.seed,
         ).best
         assert line == ",".join(repr(float(v)) for v in (side, best.m, best.total))
 

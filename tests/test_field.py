@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldhopper import quadrature
 from fieldhopper.channel import HoverGeometry, edge_success_probability, theta_lens
 from fieldhopper.field import (
     CovarianceSpec,
@@ -24,6 +23,8 @@ from fieldhopper.field import (
     required_total_observations,
     sample_field,
 )
+
+from conftest import reference_quad
 
 
 def lens_area(cover_r: float, probe_r: float) -> float:
@@ -260,10 +261,7 @@ def test_rho_matches_lens_angle_integral(cover):
             return w * theta_lens(w, cover, probe)
 
         breaks = sorted({0.0, cover} | {w for w in (abs(probe - cover),) if 0.0 < w < cover})
-        lens = sum(
-            float(quadrature.integrate(integrand, lo, hi, rel_tol=1e-13))
-            for lo, hi in zip(breaks[:-1], breaks[1:])
-        )
+        lens = sum(reference_quad(integrand, lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:]))
         want = lens / (math.pi * probe**2)
         assert area_ratio_rho(cover, probe) == pytest.approx(want, rel=1e-12, abs=0.0)
 
