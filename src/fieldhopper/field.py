@@ -50,6 +50,7 @@ __all__ = [
 
 MAX_FACTOR_POINTS = 5000
 JITTER_FACTOR = 1e-10
+MERGE_DISTANCE = 1e-9
 
 
 class DegenerateObservations(Exception):
@@ -75,33 +76,119 @@ class CovarianceSpec:
 
 def covariance(spec: CovarianceSpec, dist):
     """Covariance between two points ``dist`` apart; sigma2 at zero lag."""
-    d = np.asarray(dist, dtype=float)
+    d = np.array(dist, dtype=float)
     if np.any(d < 0):
         raise ValueError("distance must be non-negative")
-    x = d / spec.b
-    with np.errstate(invalid="ignore"):
-        val = (
-            spec.sigma2
-            * (2.0 ** (1.0 - spec.nu) / special.gamma(spec.nu))
-            * x**spec.nu
-            * special.kv(spec.nu, x)
-        )
-    val = np.where(d == 0.0, spec.sigma2, val)
+    val = _matern(spec, d)
     return float(val) if np.ndim(dist) == 0 else val
+
+
+def _matern(spec: CovarianceSpec, d: np.ndarray) -> np.ndarray:
+    """Matern covariance at the distances ``d``, overwriting ``d`` where it can.
+
+    nu = 1/2, 3/2 and 5/2 use the closed forms sigma2 exp(-x) times 1,
+    1 + x and 1 + x + x^2/3 at x = d / b (Rasmussen & Williams, GPML 4.2);
+    any other smoothness goes through the modified Bessel function.
+    """
+    if spec.nu not in (0.5, 1.5, 2.5):
+        x = d / spec.b
+        with np.errstate(invalid="ignore"):
+            val = (
+                spec.sigma2
+                * (2.0 ** (1.0 - spec.nu) / special.gamma(spec.nu))
+                * x**spec.nu
+                * special.kv(spec.nu, x)
+            )
+        return np.where(d == 0.0, spec.sigma2, val)
+    d /= spec.b
+    poly = None
+    if spec.nu == 1.5:
+        poly = 1.0 + d
+    elif spec.nu == 2.5:
+        poly = 1.0 + d * (1.0 + d / 3.0)
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d *= spec.sigma2
+    if poly is not None:
+        d *= poly
+    return d
 
 
 def covariance_matrix(spec: CovarianceSpec, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = a if b is None else np.atleast_2d(np.asarray(b, dtype=float))
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    return covariance(spec, d)
+    # Euclidean distances one coordinate at a time, in place: the same sums of
+    # squares as a norm over an (n, m, 2) difference array, without that array
+    d = np.subtract.outer(a[:, 0], b[:, 0])
+    d *= d
+    for k in range(1, a.shape[1]):
+        step = np.subtract.outer(a[:, k], b[:, k])
+        step *= step
+        d += step
+    np.sqrt(d, out=d)
+    return _matern(spec, d)
+
+
+def _first_of_close(locations: np.ndarray) -> np.ndarray:
+    """Indices of the points kept when coincident points are merged.
+
+    Greedy in input order: a point is kept unless a point already kept lies
+    within ``MERGE_DISTANCE`` of it.  So in a chain a-b-c with neighbours
+    closer than that but a and c farther apart, b goes and a and c stay.
+    """
+    n = len(locations)
+    earlier, later = _close_pairs(locations)
+    keep = np.ones(n, dtype=bool)
+    # a point with a close earlier point is settled once all of those are:
+    # dropped if one of them was kept, kept otherwise; each round settles at
+    # least the first unsettled point, so rounds <= the longest close chain
+    pending = np.zeros(n, dtype=bool)
+    pending[later] = True
+    while pending.any():
+        blocked = np.zeros(n, dtype=bool)
+        blocked[later[keep[earlier] & ~pending[earlier]]] = True
+        waiting = np.zeros(n, dtype=bool)
+        waiting[later[pending[earlier]]] = True
+        blocked &= pending
+        keep[blocked] = False
+        pending &= waiting & ~blocked
+    return np.flatnonzero(keep)
+
+
+def _close_pairs(locations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i < j) of points within ``MERGE_DISTANCE`` of each other.
+
+    Candidates are neighbours in the sort order of one coordinate, the one
+    that leaves fewer of them; the window is twice the merge distance, so
+    rounding cannot hide a close pair.  Distances are BLAS dot products of the
+    difference vectors, the arithmetic of ``np.linalg.norm`` on one pair.
+    """
+    n = len(locations)
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    sorts = []
+    for axis in range(locations.shape[1]):
+        order = np.argsort(locations[:, axis], kind="stable")
+        c = locations[order, axis]
+        counts = np.searchsorted(c, c + 2.0 * MERGE_DISTANCE, side="right") - np.arange(1, n + 1)
+        sorts.append((counts.sum(), order, counts))
+    _, order, counts = min(sorts, key=lambda s: s[0])
+    first = np.repeat(np.arange(n), counts)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    i, j = order[first], order[second]
+    diff = locations[i] - locations[j]
+    dist = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
+    close = dist <= MERGE_DISTANCE
+    i, j = i[close], j[close]
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 class ObservationSet:
     """Field readings tied to their ground locations.
 
-    Locations closer than 1e-9 m are merged (same sensor heard again reports
-    the same value) so the kriging system stays well posed.
+    Locations within 1e-9 m of an earlier kept location are dropped (same
+    sensor heard again reports the same value) so the kriging system stays
+    well posed.
     """
 
     def __init__(self, locations, values):
@@ -109,15 +196,7 @@ class ObservationSet:
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if len(locations) != len(values):
             raise ValueError("need one value per location")
-        keep: list[int] = []
-        for i in range(len(locations)):
-            dup = False
-            for j in keep:
-                if np.linalg.norm(locations[i] - locations[j]) <= 1e-9:
-                    dup = True
-                    break
-            if not dup:
-                keep.append(i)
+        keep = _first_of_close(locations)
         self.locations = locations[keep]
         self.values = values[keep]
 
@@ -142,21 +221,27 @@ def krige(
     its diagonal; if its factorization still fails the input is degenerate.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    t = len(targets)
-    if len(obs) == 0:
-        return np.full(t, prior_mean), np.full(t, spec.sigma2)
     sigma_oo = covariance_matrix(spec, obs.locations)
     sigma_oo[np.diag_indices_from(sigma_oo)] += JITTER_FACTOR * spec.sigma2
+    sigma_to = covariance_matrix(spec, targets, obs.locations)
+    return _krige_solve(sigma_oo, sigma_to, obs.values, spec.sigma2, prior_mean)
+
+
+def _krige_solve(sigma_oo, sigma_to, values, sigma2: float, prior_mean: float = 0.0):
+    """Kriging estimates and MSE from the jittered observation covariance
+    ``sigma_oo`` and the target-by-observation covariance ``sigma_to``."""
+    t = len(sigma_to)
+    if len(values) == 0:
+        return np.full(t, prior_mean), np.full(t, sigma2)
     try:
         factor = linalg.cho_factor(sigma_oo, lower=True)
     except linalg.LinAlgError as exc:
         raise DegenerateObservations(
             "observation covariance is not positive definite"
         ) from exc
-    sigma_to = covariance_matrix(spec, targets, obs.locations)
     weights = linalg.cho_solve(factor, sigma_to.T)
-    estimates = prior_mean + weights.T @ (obs.values - prior_mean)
-    mse = spec.sigma2 - np.einsum("ij,ji->i", sigma_to, weights)
+    estimates = prior_mean + weights.T @ (values - prior_mean)
+    mse = sigma2 - np.einsum("ij,ji->i", sigma_to, weights)
     return estimates, np.maximum(mse, 0.0)
 
 
@@ -167,19 +252,47 @@ def sample_field(locations, spec: CovarianceSpec, seed) -> np.ndarray:
     requests into conditional blocks instead.
     """
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
+    if len(locations) == 0:
+        return np.empty(0)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return _draw(spec, locations, rng)[1]
+
+
+def _draw(spec: CovarianceSpec, locations: np.ndarray, rng: np.random.Generator):
+    """Jittered covariance at ``locations`` and one draw from its Cholesky factor."""
     n = len(locations)
     if n > MAX_FACTOR_POINTS:
         raise ValueError(
             f"{n} locations exceed the dense-factorization cap of "
             f"{MAX_FACTOR_POINTS}; sample in tiles instead"
         )
-    if n == 0:
-        return np.empty(0)
     cov = covariance_matrix(spec, locations)
     cov[np.diag_indices_from(cov)] += JITTER_FACTOR * spec.sigma2
-    chol = np.linalg.cholesky(cov)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return chol @ rng.standard_normal(n)
+    return cov, np.linalg.cholesky(cov) @ rng.standard_normal(n)
+
+
+def _draw_and_krige(
+    spec: CovarianceSpec,
+    locations: np.ndarray,
+    observed: np.ndarray,
+    targets: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Field values at ``locations`` and their kriging estimates at ``targets``.
+
+    ``observed`` and ``targets`` index ``locations``.  One jittered
+    covariance serves both steps: the draw comes from its Cholesky factor,
+    and the kriging system is its submatrix at the observed rows (coincident
+    points merged as in ``ObservationSet``) and its target rows, the numbers
+    ``sample_field`` followed by ``krige`` would compute.
+    """
+    cov, values = _draw(spec, locations, rng)
+    observed = observed[_first_of_close(locations[observed])]
+    estimates, _ = _krige_solve(
+        cov[np.ix_(observed, observed)], cov[np.ix_(targets, observed)],
+        values[observed], spec.sigma2,
+    )
+    return values, estimates
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ independent per-replication substreams, so results replay exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .channel import HoverGeometry, RadioSpec
-from .field import CovarianceSpec, ObservationSet, krige, sample_field
+from .field import CovarianceSpec, _draw_and_krige
 
 __all__ = [
     "Disk",
@@ -223,11 +224,15 @@ def estimate_plan_edge_mse(
 
     One node field over the whole square per replication; each hover hears
     its covered nodes; all successes kriged together at the probe points.
-    The recorded sample per replication is the mean squared error over the
-    probes.
+    The field is drawn at nodes and probes from one covariance, which also
+    gives the kriging system.  The recorded sample per replication is the
+    mean squared error over the probes.  ``j_slots`` is the slot budget;
+    ``config.slots`` is not read.
     """
     if config.covariance is None:
         raise ValueError("estimate_plan_edge_mse needs a covariance spec")
+    if not isinstance(j_slots, numbers.Integral) or j_slots < 0:
+        raise ValueError(f"j_slots must be a non-negative integer, got {j_slots!r}")
     geom, radio, spec = config.geom, config.radio, config.covariance
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     probe_points = np.atleast_2d(np.asarray(probe_points, dtype=float))
@@ -241,11 +246,9 @@ def estimate_plan_edge_mse(
             heard.append(_collect_hover(nodes, center, geom, radio, j_slots, rng))
         heard_idx = np.unique(np.concatenate(heard)) if heard else np.empty(0, int)
         points = np.vstack([nodes, probe_points])
-        values = sample_field(points, spec, rng)
-        obs = ObservationSet(nodes[heard_idx], values[heard_idx])
-        est, _ = krige(obs, probe_points, spec)
-        truth = values[len(nodes):]
-        errors[i] = float(np.mean((est - truth) ** 2))
+        probes = np.arange(len(nodes), len(points))
+        values, est = _draw_and_krige(spec, points, heard_idx, probes, rng)
+        errors[i] = float(np.mean((est - values[probes]) ** 2))
     stats = SimStats(slots=j_slots, replications=config.replications)
     stats.mse_samples = errors
     stats.mse_mean = float(errors.mean())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from fieldhopper.channel import HoverGeometry, edge_success_probability, theta_lens
 from fieldhopper.field import (
@@ -76,11 +77,154 @@ def test_covariance_rejects_negative_distance(cov75):
         covariance(cov75, -1.0)
 
 
+def _matern_kv(spec, d):
+    # the Bessel-function Matern formula, as every smoothness once ran
+    x = d / spec.b
+    with np.errstate(invalid="ignore"):
+        val = (
+            spec.sigma2
+            * (2.0 ** (1.0 - spec.nu) / special.gamma(spec.nu))
+            * x**spec.nu
+            * special.kv(spec.nu, x)
+        )
+    return np.where(d == 0.0, spec.sigma2, val)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+def test_covariance_closed_forms_match_bessel_formula(nu):
+    spec = CovarianceSpec(sigma2=1.7, nu=nu, b=40.0)
+    d = np.concatenate([np.geomspace(1e-12, 1.0, 200), np.linspace(1.0, 20.0, 2000)]) * spec.b
+    want = _matern_kv(spec, d)
+    got = covariance(spec, d)
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+    assert covariance(spec, 0.0) == spec.sigma2
+    assert covariance(spec, np.zeros(3)).tolist() == [spec.sigma2] * 3
+
+
+@pytest.mark.parametrize("nu", [0.8, 1.0, 3.2])
+def test_covariance_other_smoothness_is_bessel_formula(nu, rng):
+    spec = CovarianceSpec(sigma2=2.3, nu=nu, b=30.0)
+    d = np.concatenate([[0.0], rng.random(500) * 600.0])
+    assert np.array_equal(covariance(spec, d), _matern_kv(spec, d))
+
+
+def test_covariance_leaves_its_argument_alone(cov75):
+    d = np.array([0.0, 10.0, 75.0])
+    covariance(cov75, d)
+    assert d.tolist() == [0.0, 10.0, 75.0]
+
+
+@pytest.mark.parametrize("nu", [0.5, 0.8, 1.5])
+@pytest.mark.parametrize("rounding", [None, 0.5])
+def test_covariance_matrix_is_norm_of_differences(nu, rounding, rng):
+    # bit for bit the covariance of np.linalg.norm over the difference array
+    spec = CovarianceSpec(sigma2=1.3, nu=nu, b=20.0)
+    a, b = rng.random((60, 2)) * 90.0, rng.random((45, 2)) * 90.0
+    if rounding is not None:
+        a, b = np.round(a / rounding) * rounding, np.round(b / rounding) * rounding
+    for x, y in ((a, b), (a, a), (b[:1], a)):
+        norm = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+        assert np.array_equal(covariance_matrix(spec, x, y), covariance(spec, norm))
+    assert np.array_equal(covariance_matrix(spec, a), covariance_matrix(spec, a, a))
+
+
+def _dedup_reference(locations, values):
+    # the greedy loop ObservationSet once ran: keep the first occurrence and
+    # compare each later point only against the points already kept
+    keep: list[int] = []
+    for i in range(len(locations)):
+        dup = False
+        for j in keep:
+            if np.linalg.norm(locations[i] - locations[j]) <= 1e-9:
+                dup = True
+                break
+        if not dup:
+            keep.append(i)
+    return locations[keep], values[keep]
+
+
 def test_observation_merging():
     obs = ObservationSet(
         [[0.0, 0.0], [0.0, 1e-12], [5.0, 5.0]], [1.0, 1.0, 2.0]
     )
     assert len(obs) == 2
+
+
+def test_observation_merging_keeps_first_occurrence():
+    pts = np.array([[1.0, 2.0], [4.0, 4.0], [1.0, 2.0], [4.0, 4.0], [1.0, 2.0]])
+    obs = ObservationSet(pts, [10.0, 11.0, 12.0, 13.0, 14.0])
+    assert obs.locations.tolist() == [[1.0, 2.0], [4.0, 4.0]]
+    assert obs.values.tolist() == [10.0, 11.0]
+
+
+def test_observation_merging_chain_keeps_both_ends():
+    # a-b and b-c are 0.6e-9 apart, a-c 1.2e-9: b merges into a, and c is
+    # compared only with the kept a, so it stays
+    pts = np.array([[0.0, 0.0], [0.6e-9, 0.0], [1.2e-9, 0.0]])
+    obs = ObservationSet(pts, [1.0, 2.0, 3.0])
+    assert obs.values.tolist() == [1.0, 3.0]
+    reordered = ObservationSet(pts[[1, 0, 2]], [2.0, 1.0, 3.0])
+    assert reordered.values.tolist() == [2.0]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_observation_set_of_zero_or_one_point(n):
+    obs = ObservationSet(np.ones((n, 2)), np.arange(n, dtype=float))
+    assert len(obs) == n and obs.locations.shape == (n, 2)
+
+
+_OFFSETS = [0.0, 3e-10, 6e-10, -6e-10, 8e-10, 1e-9, -1e-9, 1.2e-9, 2e-9]
+
+
+@st.composite
+def _clustered_points(draw):
+    scale = draw(st.sampled_from([1.0, 37.3, 1e4]))
+    anchors = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            min_size=1, max_size=4))
+    n = draw(st.integers(0, 24))
+    rows = []
+    for _ in range(n):
+        ax, ay = draw(st.sampled_from(anchors))
+        dx, dy = draw(st.sampled_from(_OFFSETS)), draw(st.sampled_from(_OFFSETS))
+        rows.append((ax * scale + dx, ay * scale + dy))
+    return np.array(rows, dtype=float).reshape(n, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clustered_points())
+def test_observation_merging_matches_greedy_loop(pts):
+    vals = np.arange(len(pts), dtype=float)
+    obs = ObservationSet(pts, vals)
+    want_locs, want_vals = _dedup_reference(pts, vals)
+    assert np.array_equal(obs.locations, want_locs)
+    assert np.array_equal(obs.values, want_vals)
+
+
+@pytest.mark.parametrize("offset", [
+    (5.572748615467132e-10, 8.303280849688826e-10),
+    (7.489561610105349e-10, 6.626195506354774e-10),
+])
+def test_observation_merging_at_the_merge_distance_matches_greedy_loop(offset):
+    # pairs 1e-9 apart to the last bit, where a fused multiply-add in the
+    # BLAS dot product and separately rounded squares disagree on some hosts
+    pts = np.array([[0.0, 0.0], offset, [-offset[0], offset[1]]])
+    vals = np.arange(3.0)
+    obs = ObservationSet(pts, vals)
+    want_locs, want_vals = _dedup_reference(pts, vals)
+    assert np.array_equal(obs.locations, want_locs)
+    assert np.array_equal(obs.values, want_vals)
+
+
+def test_observation_merging_matches_greedy_loop_on_scattered_points(rng):
+    pts = rng.random((400, 2)) * 100.0
+    pts = np.vstack([pts, pts[:50] + rng.uniform(-8e-10, 8e-10, (50, 2)), pts[60:70]])
+    order = rng.permutation(len(pts))
+    pts, vals = pts[order], order.astype(float)
+    obs = ObservationSet(pts, vals)
+    want_locs, want_vals = _dedup_reference(pts, vals)
+    assert len(obs) < len(pts)
+    assert np.array_equal(obs.locations, want_locs)
+    assert np.array_equal(obs.values, want_vals)
 
 
 def test_krige_interpolates_observations(cov75, rng):

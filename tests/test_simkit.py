@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from fieldhopper.field import CovarianceSpec, ObservationSet, krige, sample_field
 from fieldhopper.simkit import (
     Disk,
     SimConfig,
     SquareRegion,
+    _collect_hover,
     _simulate_batch,
     _slant,
     estimate_plan_edge_mse,
@@ -137,16 +139,15 @@ def _edge_mse(geom, config, j_slots):
 
 
 def test_edge_mse_no_slots_is_prior(geom20, radio, cov75):
-    cfg = SimConfig(geom=geom20, radio=radio, slots=1, replications=60, seed=15,
-                    covariance=cov75)
+    cfg = SimConfig(geom=geom20, radio=radio, replications=60, seed=15, covariance=cov75)
     st = _edge_mse(geom20, cfg, j_slots=0)
     assert st.mse_mean == pytest.approx(cov75.sigma2, abs=0.25)
 
 
 def test_edge_mse_saturates_below_target(geom20, radio, cov75):
     # ten times the designed budget drives the error well under the target
-    cfg = SimConfig(geom=geom20, radio=radio.with_(aloha=0.0127), slots=1,
-                    replications=60, seed=16, covariance=cov75)
+    cfg = SimConfig(geom=geom20, radio=radio.with_(aloha=0.0127), replications=60,
+                    seed=16, covariance=cov75)
     st = _edge_mse(geom20, cfg, j_slots=800)
     assert st.mse_mean < 0.1
 
@@ -154,14 +155,63 @@ def test_edge_mse_saturates_below_target(geom20, radio, cov75):
 def test_plan_edge_mse_replays(geom20, radio, cov75):
     # bit for bit at the suite's pinned BLAS thread count
     def run(seed):
-        cfg = SimConfig(geom=geom20, radio=radio, slots=1, replications=3, seed=seed,
-                        covariance=cov75)
+        cfg = SimConfig(geom=geom20, radio=radio, replications=3, seed=seed, covariance=cov75)
         centers = [(20.0, 20.0), (60.0, 20.0)]
         return estimate_plan_edge_mse(cfg, centers, 80.0, 50, [(40.0, 20.0), (80.0, 20.0)])
 
     a, b, c = run(21), run(21), run(22)
     assert np.array_equal(a.mse_samples, b.mse_samples)
     assert not np.array_equal(a.mse_samples, c.mse_samples)
+
+
+def _plan_edge_mse_reference(config, centers, side, j_slots, probe_points):
+    # the composition estimate_plan_edge_mse once ran: sample the field, build
+    # an ObservationSet of the heard nodes, krige the probes from it
+    spec, errors = config.covariance, []
+    for stream in np.random.SeedSequence(config.seed).spawn(config.replications):
+        rng = np.random.default_rng(stream)
+        nodes = sample_ppp(SquareRegion(side), config.geom.density, rng)
+        heard = [_collect_hover(nodes, np.asarray(c, dtype=float), config.geom,
+                                config.radio, j_slots, rng) for c in centers]
+        heard_idx = np.unique(np.concatenate(heard))
+        values = sample_field(np.vstack([nodes, probe_points]), spec, rng)
+        est, _ = krige(ObservationSet(nodes[heard_idx], values[heard_idx]), probe_points, spec)
+        errors.append(float(np.mean((est - values[len(nodes):]) ** 2)))
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 0.8])
+def test_plan_edge_mse_matches_sample_then_krige(geom20, radio, nu):
+    # one covariance for sampling and kriging gives the numbers of the
+    # separate sample_field -> ObservationSet -> krige calls, bit for bit
+    cfg = SimConfig(geom=geom20, radio=radio, replications=3, seed=23,
+                    covariance=CovarianceSpec(sigma2=1.0, nu=nu, b=75.0))
+    centers = [(20.0, 20.0), (60.0, 20.0), (40.0, 50.0)]
+    probes = np.array([(40.0, 20.0), (80.0, 20.0), (40.0, 70.0)])
+    got = estimate_plan_edge_mse(cfg, centers, 80.0, 60, probes)
+    want = _plan_edge_mse_reference(cfg, centers, 80.0, 60, probes)
+    assert np.array_equal(got.mse_samples, want)
+
+
+def test_plan_edge_mse_keeps_factorization_cap(geom20, radio, cov75):
+    # about 6250 nodes in a 250 m square, over the 5000-point dense cap
+    cfg = SimConfig(geom=geom20, radio=radio, replications=1, seed=24, covariance=cov75)
+    with pytest.raises(ValueError, match="dense-factorization cap"):
+        estimate_plan_edge_mse(cfg, [(20.0, 20.0)], 250.0, 0, [(40.0, 20.0)])
+
+
+@pytest.mark.parametrize("j_slots", [-3, 2.5, 3.0, "3"])
+def test_plan_edge_mse_rejects_bad_slot_budget(geom20, radio, cov75, j_slots):
+    cfg = SimConfig(geom=geom20, radio=radio, replications=2, seed=25, covariance=cov75)
+    with pytest.raises(ValueError, match="j_slots must be a non-negative integer"):
+        _edge_mse(geom20, cfg, j_slots)
+
+
+def test_plan_edge_mse_takes_numpy_slot_budget(geom20, radio, cov75):
+    cfg = SimConfig(geom=geom20, radio=radio, replications=2, seed=26, covariance=cov75)
+    a = _edge_mse(geom20, cfg, np.int64(5))
+    b = _edge_mse(geom20, cfg, 5)
+    assert a.slots == 5 and np.array_equal(a.mse_samples, b.mse_samples)
 
 
 def test_sim_config_validation(geom20, radio):
