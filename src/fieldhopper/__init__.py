@@ -27,7 +27,6 @@ from .covering import (
     NormalizedCoverageTable,
     cover_radius,
     fit_alpha,
-    solve_coverage,
 )
 from .field import (
     CovarianceSpec,

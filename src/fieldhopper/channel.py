@@ -48,6 +48,9 @@ __all__ = [
     "hover_time_aggregation",
 ]
 
+BETA_MAX = 20.0  # upper end of every SINR-threshold search; the lower end is 1
+
+
 @dataclass(frozen=True)
 class RadioSpec:
     """Link-layer parameters, all SI (watts, hertz, bits).
@@ -413,14 +416,13 @@ class OptimalBeta:
 def optimal_beta(
     geom: HoverGeometry,
     radio: RadioSpec,
-    beta_max: float = 20.0,
     optimize_a: bool = True,
     tol: float = 1e-3,
 ) -> OptimalBeta:
     """SINR threshold minimizing hover time per collected sample.
 
     Hover time scales as 1/(P_s log2(1+beta)), so the search maximizes
-    P_s log2(1+beta).  It runs on log beta over [1, beta_max]; the transmit
+    P_s log2(1+beta).  It runs on log beta over [1, BETA_MAX]; the transmit
     probability is re-optimized per beta unless ``optimize_a`` is False.
     """
 
@@ -437,11 +439,11 @@ def optimal_beta(
         evaluated[log_beta] = value(log_beta)
         return evaluated[log_beta][0]
 
-    log_best, obj = golden_max(objective, 0.0, math.log(beta_max), tol=tol)
+    log_best, obj = golden_max(objective, 0.0, math.log(BETA_MAX), tol=tol)
     # the capacity term grows without bound, so check the upper edge too
-    edge_obj, edge_a = value(math.log(beta_max))
+    edge_obj, edge_a = value(math.log(BETA_MAX))
     if edge_obj >= obj:
-        return OptimalBeta(beta=beta_max, aloha=edge_a, objective=edge_obj)
+        return OptimalBeta(beta=BETA_MAX, aloha=edge_a, objective=edge_obj)
     obj, a = evaluated[log_best]
     return OptimalBeta(beta=math.exp(log_best), aloha=a, objective=obj)
 

@@ -121,8 +121,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     m_range = range(cfg.m_min, cfg.m_max + 1)
     common = dict(
         m_range=m_range, k=cfg.uavs, depots=cfg.depots, table=table,
-        fixed_beta=cfg.beta, fixed_aloha=cfg.aloha,
-        paper_literal_kinematics=cfg.paper_literal_kinematics, seed=cfg.seed,
+        fixed_beta=cfg.beta, fixed_aloha=cfg.aloha, seed=cfg.seed,
     )
     if cfg.mission == "aggregation":
         report = plan_aggregation(cfg.field(), cfg.drone(), cfg.radio(), cfg.zeta, **common)

@@ -105,6 +105,7 @@ class RunConfig:
         return DroneSpec(
             speed=self.speed, accel=self.accel, decel=self.decel,
             reconf_time=self.reconf, beamwidth=self.beamwidth,
+            paper_literal=self.paper_literal_kinematics,
         )
 
     def field(self) -> FieldSpec:

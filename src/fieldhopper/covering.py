@@ -279,61 +279,15 @@ def _canonical(centers: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# public plan type and solver
+# normalized table
 
 @dataclass(frozen=True)
 class CoveragePlan:
-    """Hovering geometry for one field: M disk centers covering the square."""
+    """M disk centers covering one square field, and their common radius."""
 
-    m: int
     radius: float
     centers: np.ndarray
-    altitude: float
-    area_side: float
-    beamwidth: float
 
-    def max_gap(self, grid: int = 400) -> float:
-        """Largest distance from a grid point to its nearest center."""
-        ticks = np.linspace(0.0, self.area_side, grid)
-        xx, yy = np.meshgrid(ticks, ticks)
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        d = np.linalg.norm(pts[:, None, :] - self.centers[None, :, :], axis=2)
-        return float(d.min(axis=1).max())
-
-    def covers(self, grid: int = 400, tol_factor: float = 1e-6) -> bool:
-        return self.max_gap(grid) <= self.radius + tol_factor * self.area_side
-
-
-def solve_coverage(
-    m: int,
-    area_side: float,
-    seed: int = 0,
-    beamwidth: float = math.pi / 2,
-    restarts: int = 60,
-) -> CoveragePlan:
-    """Cover a square of side ``area_side`` with ``m`` equal disks.
-
-    Deterministic for a fixed seed.  M=1 is closed form (center of the
-    square, radius half the diagonal); otherwise multistart local descent.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if area_side <= 0:
-        raise ValueError("area_side must be positive")
-    radius, centers = solve_unit_covering(m, seed, restarts)[0]
-    centers = _canonical(centers)
-    return CoveragePlan(
-        m=m,
-        radius=radius * area_side,
-        centers=centers * area_side,
-        altitude=(radius * area_side) / math.tan(beamwidth / 2),
-        area_side=area_side,
-        beamwidth=beamwidth,
-    )
-
-
-# ---------------------------------------------------------------------------
-# normalized table
 
 @dataclass(frozen=True)
 class TableRow:
@@ -402,19 +356,15 @@ class NormalizedCoverageTable:
             alpha = 0.0
         return TableRow(m=m, delta=delta, alpha=alpha, centers=_canonical(centers))
 
-    def plan(self, m: int, area_side: float, beamwidth: float = math.pi / 2) -> CoveragePlan:
-        """Scale the cached unit layout to a concrete field."""
+    def plan(self, m: int, area_side: float) -> CoveragePlan:
+        """Scale the cached unit layout to a square of side ``area_side``."""
+        if m < 1:
+            raise ValueError("m must be at least 1")
+        if area_side <= 0:
+            raise ValueError("area_side must be positive")
         self.ensure(m)
         row = self.rows[m]
-        radius = row.delta * area_side
-        return CoveragePlan(
-            m=m,
-            radius=radius,
-            centers=row.centers * area_side,
-            altitude=radius / math.tan(beamwidth / 2),
-            area_side=area_side,
-            beamwidth=beamwidth,
-        )
+        return CoveragePlan(radius=row.delta * area_side, centers=row.centers * area_side)
 
     def save(self, path: str | Path) -> None:
         path = Path(path)

@@ -51,6 +51,7 @@ __all__ = [
 MAX_FACTOR_POINTS = 5000
 JITTER_FACTOR = 1e-10
 MERGE_DISTANCE = 1e-9
+PROBE_GRID = 64  # probe radii that bracket the slot-count minimum
 
 
 class DegenerateObservations(Exception):
@@ -129,66 +130,15 @@ def covariance_matrix(spec: CovarianceSpec, a: np.ndarray, b: np.ndarray | None 
     return _matern(spec, d)
 
 
-def _first_of_close(locations: np.ndarray) -> np.ndarray:
-    """Indices of the points kept when coincident points are merged.
-
-    Greedy in input order: a point is kept unless a point already kept lies
-    within ``MERGE_DISTANCE`` of it.  So in a chain a-b-c with neighbours
-    closer than that but a and c farther apart, b goes and a and c stay.
-    """
-    n = len(locations)
-    earlier, later = _close_pairs(locations)
-    keep = np.ones(n, dtype=bool)
-    # a point with a close earlier point is settled once all of those are:
-    # dropped if one of them was kept, kept otherwise; each round settles at
-    # least the first unsettled point, so rounds <= the longest close chain
-    pending = np.zeros(n, dtype=bool)
-    pending[later] = True
-    while pending.any():
-        blocked = np.zeros(n, dtype=bool)
-        blocked[later[keep[earlier] & ~pending[earlier]]] = True
-        waiting = np.zeros(n, dtype=bool)
-        waiting[later[pending[earlier]]] = True
-        blocked &= pending
-        keep[blocked] = False
-        pending &= waiting & ~blocked
-    return np.flatnonzero(keep)
-
-
-def _close_pairs(locations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i < j) of points within ``MERGE_DISTANCE`` of each other.
-
-    Candidates are neighbours in the sort order of one coordinate, the one
-    that leaves fewer of them; the window is twice the merge distance, so
-    rounding cannot hide a close pair.  Distances are BLAS dot products of the
-    difference vectors, the arithmetic of ``np.linalg.norm`` on one pair.
-    """
-    n = len(locations)
-    if n < 2:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    sorts = []
-    for axis in range(locations.shape[1]):
-        order = np.argsort(locations[:, axis], kind="stable")
-        c = locations[order, axis]
-        counts = np.searchsorted(c, c + 2.0 * MERGE_DISTANCE, side="right") - np.arange(1, n + 1)
-        sorts.append((counts.sum(), order, counts))
-    _, order, counts = min(sorts, key=lambda s: s[0])
-    first = np.repeat(np.arange(n), counts)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
-    i, j = order[first], order[second]
-    diff = locations[i] - locations[j]
-    dist = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
-    close = dist <= MERGE_DISTANCE
-    i, j = i[close], j[close]
-    return np.minimum(i, j), np.maximum(i, j)
-
-
 class ObservationSet:
     """Field readings tied to their ground locations.
 
-    Locations within 1e-9 m of an earlier kept location are dropped (same
-    sensor heard again reports the same value) so the kriging system stays
-    well posed.
+    Locations within ``MERGE_DISTANCE`` (1e-9 m) of an earlier kept location
+    are dropped (same sensor heard again reports the same value) so the
+    kriging system stays well posed.  Greedy in input order: in a chain a-b-c
+    with neighbours that close but a and c farther apart, b goes and a and c
+    stay.  Distances are BLAS dot products of the difference vectors, the
+    arithmetic of ``np.linalg.norm`` on one pair.
     """
 
     def __init__(self, locations, values):
@@ -196,7 +146,12 @@ class ObservationSet:
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if len(locations) != len(values):
             raise ValueError("need one value per location")
-        keep = _first_of_close(locations)
+        keep = np.ones(len(locations), dtype=bool)
+        for i in range(len(locations)):
+            if keep[i]:
+                diff = locations[i + 1:] - locations[i]
+                dist = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
+                keep[i + 1:][dist <= MERGE_DISTANCE] = False
         self.locations = locations[keep]
         self.values = values[keep]
 
@@ -208,15 +163,10 @@ class ObservationSet:
         return cls(np.empty((0, 2)), np.empty(0))
 
 
-def krige(
-    obs: ObservationSet,
-    targets,
-    spec: CovarianceSpec,
-    prior_mean: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simple-kriging estimates and per-target MSE.
+def krige(obs: ObservationSet, targets, spec: CovarianceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Simple-kriging estimates and per-target MSE of the zero-mean field.
 
-    With no observations the prior is returned: mean everywhere, variance
+    With no observations the prior is returned: zero everywhere, variance
     sigma2.  The observation covariance gets a relative jitter of 1e-10 on
     its diagonal; if its factorization still fails the input is degenerate.
     """
@@ -224,15 +174,15 @@ def krige(
     sigma_oo = covariance_matrix(spec, obs.locations)
     sigma_oo[np.diag_indices_from(sigma_oo)] += JITTER_FACTOR * spec.sigma2
     sigma_to = covariance_matrix(spec, targets, obs.locations)
-    return _krige_solve(sigma_oo, sigma_to, obs.values, spec.sigma2, prior_mean)
+    return _krige_solve(sigma_oo, sigma_to, obs.values, spec.sigma2)
 
 
-def _krige_solve(sigma_oo, sigma_to, values, sigma2: float, prior_mean: float = 0.0):
+def _krige_solve(sigma_oo, sigma_to, values, sigma2: float):
     """Kriging estimates and MSE from the jittered observation covariance
     ``sigma_oo`` and the target-by-observation covariance ``sigma_to``."""
     t = len(sigma_to)
     if len(values) == 0:
-        return np.full(t, prior_mean), np.full(t, sigma2)
+        return np.zeros(t), np.full(t, sigma2)
     try:
         factor = linalg.cho_factor(sigma_oo, lower=True)
     except linalg.LinAlgError as exc:
@@ -240,7 +190,7 @@ def _krige_solve(sigma_oo, sigma_to, values, sigma2: float, prior_mean: float = 
             "observation covariance is not positive definite"
         ) from exc
     weights = linalg.cho_solve(factor, sigma_to.T)
-    estimates = prior_mean + weights.T @ (values - prior_mean)
+    estimates = weights.T @ values
     mse = sigma2 - np.einsum("ij,ji->i", sigma_to, weights)
     return estimates, np.maximum(mse, 0.0)
 
@@ -280,14 +230,12 @@ def _draw_and_krige(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Field values at ``locations`` and their kriging estimates at ``targets``.
 
-    ``observed`` and ``targets`` index ``locations``.  One jittered
-    covariance serves both steps: the draw comes from its Cholesky factor,
-    and the kriging system is its submatrix at the observed rows (coincident
-    points merged as in ``ObservationSet``) and its target rows, the numbers
-    ``sample_field`` followed by ``krige`` would compute.
+    ``observed`` and ``targets`` index ``locations``; ``observed`` holds
+    distinct indices, so no point is merged.  One jittered covariance serves
+    both steps: the draw comes from its Cholesky factor, and the kriging
+    system is its submatrix at the observed rows and its target rows.
     """
     cov, values = _draw(spec, locations, rng)
-    observed = observed[_first_of_close(locations[observed])]
     estimates, _ = _krige_solve(
         cov[np.ix_(observed, observed)], cov[np.ix_(targets, observed)],
         values[observed], spec.sigma2,
@@ -401,7 +349,6 @@ def optimal_slots_estimation(
     radio: RadioSpec,
     spec: CovarianceSpec,
     delta: float,
-    grid: int = 64,
 ) -> MseBudget:
     """Fewest slots per hover that keep the edge MSE below ``delta``.
 
@@ -415,7 +362,7 @@ def optimal_slots_estimation(
         raise EstimationInfeasible(
             f"MSE target {delta} unreachable for field variance {spec.sigma2}"
         )
-    radii = upper * (np.arange(1, grid + 1) - 0.5) / grid
+    radii = upper * (np.arange(1, PROBE_GRID + 1) - 0.5) / PROBE_GRID
 
     def objective(r: float) -> float:
         return estimation_slots(r, geom, radio, spec, delta)
@@ -425,7 +372,7 @@ def optimal_slots_estimation(
         raise EstimationInfeasible("no probe radius yields a nonzero sample rate")
     k = int(np.argmin(values))
     lo = radii[max(k - 1, 0)]
-    hi = radii[min(k + 1, grid - 1)]
+    hi = radii[min(k + 1, PROBE_GRID - 1)]
     r_star, j_real = golden_min(objective, lo, hi, tol=upper * 1e-4)
     if values[k] < j_real:
         r_star, j_real = float(radii[k]), float(values[k])

@@ -23,6 +23,9 @@ class DroneSpec:
     accel/decel: acceleration / deceleration magnitude [m/s^2]
     reconf_time: per-stop overhead after arrival and before departure [s]
     beamwidth:   antenna cone angle [rad]; ties coverage radius to altitude
+    paper_literal: short hops take the printed sqrt(u/(accel+decel)), which
+                 is discontinuous at the ramp distance, instead of the
+                 kinematically consistent sqrt(2u(1/accel+1/decel))
     """
 
     speed: float
@@ -30,6 +33,7 @@ class DroneSpec:
     decel: float
     reconf_time: float = 0.0
     beamwidth: float = math.pi / 2
+    paper_literal: bool = False
 
     def __post_init__(self) -> None:
         if self.speed <= 0 or self.accel <= 0 or self.decel <= 0:
@@ -65,13 +69,8 @@ class DroneSpec:
         return radius / math.tan(self.beamwidth / 2)
 
 
-def hop_time(u: float, drone: DroneSpec, paper_literal: bool = False) -> float:
-    """Time to fly a hop of length ``u`` starting and ending at rest.
-
-    ``paper_literal`` switches the short-hop branch to sqrt(u/(accel+decel)),
-    which is discontinuous at the ramp distance; the default branch
-    sqrt(2u(1/accel+1/decel)) is the kinematically consistent one.
-    """
+def hop_time(u: float, drone: DroneSpec) -> float:
+    """Time to fly a hop of length ``u`` starting and ending at rest."""
     if u < 0:
         raise ValueError("hop length must be non-negative")
     if u == 0:
@@ -83,14 +82,14 @@ def hop_time(u: float, drone: DroneSpec, paper_literal: bool = False) -> float:
             + drone.ramp_down_time
             + (u - ramp) / drone.speed
         )
-    if paper_literal:
+    if drone.paper_literal:
         return math.sqrt(u / (drone.accel + drone.decel))
     return math.sqrt(2.0 * u * (1.0 / drone.accel + 1.0 / drone.decel))
 
 
-def travel_time(tour: Tour, drone: DroneSpec, paper_literal: bool = False) -> float:
+def travel_time(tour: Tour, drone: DroneSpec) -> float:
     """Total traveling time of a closed tour: hop times plus per-stop overhead."""
-    hops = sum(hop_time(u, drone, paper_literal) for u in tour.hop_distances)
+    hops = sum(hop_time(u, drone) for u in tour.hop_distances)
     return hops + tour.num_stops * drone.reconf_time
 
 

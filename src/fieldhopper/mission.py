@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import (
+    BETA_MAX,
     HoverGeometry,
     RadioSpec,
     aggregation_slots,
@@ -41,6 +42,8 @@ __all__ = [
     "plan_estimation",
     "multi_uav_total",
 ]
+
+STOP_AFTER_RISES = 3  # the M sweep ends once the total has risen this often in a row
 
 
 @dataclass(frozen=True)
@@ -150,12 +153,11 @@ def multi_uav_total(
     tours: Sequence[Tour],
     hover_per_hl: float,
     drone: DroneSpec,
-    paper_literal: bool = False,
 ) -> tuple[float, list[UavBreakdown], int]:
     """Mission time when tours run in parallel: the slowest UAV sets it."""
     per_uav = []
     for tour in tours:
-        t_travel = travel_time(tour, drone, paper_literal)
+        t_travel = travel_time(tour, drone)
         per_uav.append(
             UavBreakdown(
                 stops=tour.num_stops,
@@ -191,27 +193,26 @@ def _tours_and_travel(
     k: int,
     drone: DroneSpec,
     hover_per_hl: float,
-    paper_literal: bool,
     seed: int,
 ) -> tuple[float, float, list[UavBreakdown] | None, int | None]:
     """(total travel-or-mission residual, travel, per-uav, bottleneck)."""
     if k == 1:
         tour = solve_tsp(centers, depots[0])
-        t_travel = travel_time(tour, drone, paper_literal)
+        t_travel = travel_time(tour, drone)
         total = len(centers) * hover_per_hl + t_travel
         return total, t_travel, None, None
     stop_cost = drone.speed * (hover_per_hl + drone.reconf_time)
     tours = solve_minmax_mdmtsp(centers, depots, k, stop_cost=stop_cost, seed=seed)
-    total, per_uav, worst = multi_uav_total(tours, hover_per_hl, drone, paper_literal)
+    total, per_uav, worst = multi_uav_total(tours, hover_per_hl, drone)
     return total, per_uav[worst].travel_time, per_uav, worst
 
 
-def _sweep(records: list[MissionRecord], stop_after: int = 3) -> bool:
-    """True when the total has been rising for ``stop_after`` consecutive M."""
+def _sweep(records: list[MissionRecord]) -> bool:
+    """True when the total has been rising for ``STOP_AFTER_RISES`` consecutive M."""
     feasible = [r for r in records if r.feasible]
-    if len(feasible) <= stop_after:
+    if len(feasible) <= STOP_AFTER_RISES:
         return False
-    tail = feasible[-(stop_after + 1):]
+    tail = feasible[-(STOP_AFTER_RISES + 1):]
     return all(b.total > a.total for a, b in zip(tail[:-1], tail[1:]))
 
 
@@ -224,7 +225,6 @@ def _plan(
     k: int,
     depots,
     table: NormalizedCoverageTable | None,
-    paper_literal_kinematics: bool,
     seed: int,
 ) -> MissionReport:
     """The M sweep both missions share; they differ only in ``price(m, geom)``,
@@ -239,18 +239,18 @@ def _plan(
     for m in m_range:
         if k > m:
             continue
-        plan = table.plan(m, field.side, drone.beamwidth)
-        hover_fields = price(m, HoverGeometry(plan.radius, plan.altitude, field.density))
+        plan = table.plan(m, field.side)
+        altitude = drone.altitude_for_radius(plan.radius)
+        hover_fields = price(m, HoverGeometry(plan.radius, altitude, field.density))
         record = MissionRecord(
-            m=m, radius=plan.radius, altitude=plan.altitude,
+            m=m, radius=plan.radius, altitude=altitude,
             hover_total=m * hover_fields["hover_per_hl"], travel=math.nan,
             total=math.inf, **hover_fields,
         )
         if record.feasible:
             (record.total, record.travel, record.per_uav,
              record.bottleneck_uav) = _tours_and_travel(
-                plan.centers, depots_arr, k, drone, record.hover_per_hl,
-                paper_literal_kinematics, seed,
+                plan.centers, depots_arr, k, drone, record.hover_per_hl, seed,
             )
         report.records.append(record)
         if _sweep(report.records):
@@ -269,7 +269,6 @@ def plan_aggregation(
     table: NormalizedCoverageTable | None = None,
     fixed_beta: float | None = None,
     fixed_aloha: float | None = None,
-    paper_literal_kinematics: bool = False,
     seed: int = 0,
 ) -> MissionReport:
     """Minimize total mission time while collecting ``zeta`` samples on average.
@@ -290,8 +289,7 @@ def plan_aggregation(
                     slots_per_hl=slots, hover_per_hl=hover,
                     feasible=math.isfinite(hover))
 
-    return _plan("aggregation", price, field, drone, m_range, k, depots, table,
-                 paper_literal_kinematics, seed)
+    return _plan("aggregation", price, field, drone, m_range, k, depots, table, seed)
 
 
 def _link_for_estimation(
@@ -301,7 +299,6 @@ def _link_for_estimation(
     delta: float,
     fixed_beta: float | None,
     fixed_aloha: float | None,
-    beta_max: float = 20.0,
 ):
     """Pick beta (and aloha) minimizing per-hover time J* x slot length."""
 
@@ -330,7 +327,7 @@ def _link_for_estimation(
         except EstimationInfeasible:
             return math.inf
 
-    log_best, _ = golden_min(hover_at, 0.0, math.log(beta_max), tol=5e-3)
+    log_best, _ = golden_min(hover_at, 0.0, math.log(BETA_MAX), tol=5e-3)
     link = radio.with_(beta=math.exp(log_best), aloha=a0)
     if fixed_aloha is None:
         link = link.with_(aloha=optimal_aloha(geom, link))
@@ -349,7 +346,6 @@ def plan_estimation(
     table: NormalizedCoverageTable | None = None,
     fixed_beta: float | None = None,
     fixed_aloha: float | None = None,
-    paper_literal_kinematics: bool = False,
     seed: int = 0,
 ) -> MissionReport:
     """Minimize mission time subject to the field-estimation MSE target.
@@ -375,5 +371,4 @@ def plan_estimation(
                     r_mse=budget.r_mse, rho=budget.rho,
                     p_edge_success=budget.p_edge_success)
 
-    return _plan("estimation", price, field, drone, m_range, k, depots, table,
-                 paper_literal_kinematics, seed)
+    return _plan("estimation", price, field, drone, m_range, k, depots, table, seed)

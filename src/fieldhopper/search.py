@@ -6,6 +6,7 @@ import math
 from typing import Callable
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
+MAX_ITER = 200  # bracket reductions before a search returns regardless of tol
 
 
 def golden_min(
@@ -13,14 +14,13 @@ def golden_min(
     lo: float,
     hi: float,
     tol: float = 1e-4,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Golden-section minimum of a unimodal function on [lo, hi]."""
     a, b = float(lo), float(hi)
     c = b - _PHI * (b - a)
     d = a + _PHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if b - a <= tol:
             break
         if fc <= fd:
@@ -40,7 +40,6 @@ def golden_max(
     lo: float,
     hi: float,
     tol: float = 1e-4,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
-    x, neg = golden_min(lambda t: -f(t), lo, hi, tol, max_iter)
+    x, neg = golden_min(lambda t: -f(t), lo, hi, tol)
     return x, -neg

@@ -29,6 +29,8 @@ __all__ = [
     "estimate_plan_edge_mse",
 ]
 
+SLOT_CHUNK = 4096  # slots simulated per (nodes x slots) batch
+
 
 @dataclass(frozen=True)
 class Disk:
@@ -127,7 +129,6 @@ def _simulate_batch(
     radio: RadioSpec,
     rng: np.random.Generator,
     slots: int,
-    chunk: int = 4096,
 ) -> tuple[np.ndarray, int]:
     """Winner node index per slot (-1 for none) and multi-capture count."""
     n = len(slant)
@@ -139,7 +140,7 @@ def _simulate_batch(
     noise_ratio = radio.noise / radio.power
     done = 0
     while done < slots:
-        c = min(chunk, slots - done)
+        c = min(SLOT_CHUNK, slots - done)
         active = rng.random((n, c)) < radio.aloha
         gains = rng.standard_gamma(radio.m, (n, c)) / radio.m
         rx = decay[:, None] * gains * active

@@ -270,53 +270,37 @@ def solve_minmax_mdmtsp(
         return Tour(order=order, hop_distances=tour.hop_distances,
                     depot=tour.depot, points=centers)
 
-    improved = True
-    rounds = 0
-    while improved and rounds < 200:
-        improved = False
-        rounds += 1
+    def moves(worst: int):
+        """(other, new worst group, its tour, new other group) per trial:
+        every relocation of one worst-cluster stop, then every swap."""
+        g = groups[worst]
+        others = [o for o in range(k) if o != worst]
+        if len(g) > 1:
+            for stop in list(g):
+                g_w = g[g != stop]
+                t_w = build(worst, g_w)  # shared by every receiving cluster
+                for other in others:
+                    yield other, g_w, t_w, np.append(groups[other], stop)
+        for stop in list(g):
+            for other in others:
+                for swap in list(groups[other]):
+                    g_w = np.append(g[g != stop], swap)
+                    g_o = np.append(groups[other][groups[other] != swap], stop)
+                    yield other, g_w, build(worst, g_w), g_o
+
+    for _ in range(200):
         costs = [_tour_cost(t, stop_cost) for t in tours]
         worst = int(np.argmax(costs))
         best_max = max(costs)
-        if len(groups[worst]) > 1:
-            for stop in list(groups[worst]):
-                g_w = groups[worst][groups[worst] != stop]
-                t_w = build(worst, g_w)
-                for other in range(k):
-                    if other == worst:
-                        continue
-                    g_o = np.append(groups[other], stop)
-                    t_o = build(other, g_o)
-                    trial = costs.copy()
-                    trial[worst] = _tour_cost(t_w, stop_cost)
-                    trial[other] = _tour_cost(t_o, stop_cost)
-                    if max(trial) < best_max - 1e-9:
-                        groups[worst], groups[other] = g_w, g_o
-                        tours[worst], tours[other] = t_w, t_o
-                        improved = True
-                        break
-                if improved:
-                    break
-        if improved:
-            continue
-        for stop in list(groups[worst]):
-            for other in range(k):
-                if other == worst:
-                    continue
-                for swap in list(groups[other]):
-                    g_w = np.append(groups[worst][groups[worst] != stop], swap)
-                    g_o = np.append(groups[other][groups[other] != swap], stop)
-                    t_w, t_o = build(worst, g_w), build(other, g_o)
-                    trial = costs.copy()
-                    trial[worst] = _tour_cost(t_w, stop_cost)
-                    trial[other] = _tour_cost(t_o, stop_cost)
-                    if max(trial) < best_max - 1e-9:
-                        groups[worst], groups[other] = g_w, g_o
-                        tours[worst], tours[other] = t_w, t_o
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
+        for other, g_w, t_w, g_o in moves(worst):
+            t_o = build(other, g_o)
+            trial = costs.copy()
+            trial[worst] = _tour_cost(t_w, stop_cost)
+            trial[other] = _tour_cost(t_o, stop_cost)
+            if max(trial) < best_max - 1e-9:
+                groups[worst], groups[other] = g_w, g_o
+                tours[worst], tours[other] = t_w, t_o
                 break
+        else:
+            break
     return [relabel(t, g) for t, g in zip(tours, groups)]

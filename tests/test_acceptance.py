@@ -187,11 +187,11 @@ def test_criterion_6_estimation_optimum(est_report):
     )
 
 
-def test_criterion_7_mse_guarantee(est_report, radio2, shipped_table):
+def test_criterion_7_mse_guarantee(est_report, radio2, drone2, shipped_table):
     best = est_report.best
     plan = shipped_table.plan(best.m, 100.0)
     link = radio2.with_(beta=best.beta, aloha=best.aloha)
-    geom = HoverGeometry(plan.radius, plan.altitude, 0.1)
+    geom = HoverGeometry(plan.radius, drone2.altitude_for_radius(plan.radius), 0.1)
     hl = plan.centers[np.argmin(np.linalg.norm(plan.centers - 50.0, axis=1))]
     angles = np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)
     probes = hl + plan.radius * np.column_stack([np.cos(angles), np.sin(angles)])

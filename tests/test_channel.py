@@ -199,8 +199,8 @@ def test_optimal_beta_reports_its_search_point(geom20, radio):
 
 def test_optimal_beta_constant_success_goes_to_cap(geom20, radio, monkeypatch):
     monkeypatch.setattr(channel, "success_probability", lambda g, r: 0.5)
-    best = optimal_beta(geom20, radio, optimize_a=False, beta_max=20.0)
-    assert best.beta == 20.0
+    best = optimal_beta(geom20, radio, optimize_a=False)
+    assert best.beta == channel.BETA_MAX == 20.0
 
 
 def test_theta_lens_regions():

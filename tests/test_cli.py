@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,6 +169,30 @@ def test_sweep_area_builds_a_missing_table_once(tmp_path, monkeypatch):
             conf.zeta, m_range=range(1, 4), table=cli.load_table(conf), seed=conf.seed,
         ).best
         assert line == ",".join(repr(float(v)) for v in (side, best.m, best.total))
+
+
+def test_sweep_area_honours_paper_literal_kinematics(tmp_path):
+    # on 20-30 m sides the hops fall below the 11.1 m ramp distance, where the
+    # printed short-hop formula differs from the consistent one
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m_min = 3\nm_max = 5\npaper_literal_kinematics = true\n")
+    args = ["sweep", "--config", str(cfg), "--axis", "area", "--grid", "20:30:2",
+            "--out", str(tmp_path), "--label", "area"]
+    assert run(args) == 0
+    lines = (tmp_path / "sweep" / "area" / "sweep.csv").read_text().splitlines()
+    conf = load_config(cfg)
+    assert conf.drone().paper_literal
+    for line, side in zip(lines[2:], (20.0, 30.0), strict=True):
+        literal, consistent = (
+            plan_aggregation(
+                FieldSpec(side=side, density=conf.density), replace(conf.drone(), paper_literal=flag),
+                conf.radio(), conf.zeta, m_range=range(3, 6), table=cli.load_table(conf),
+                seed=conf.seed,
+            ).best
+            for flag in (True, False)
+        )
+        assert line == ",".join(repr(float(v)) for v in (side, literal.m, literal.total))
+        assert literal.total != consistent.total
 
 
 @pytest.mark.parametrize("line", ["side_m = -5", "warp_factor = 9", "nakagami_m = 1.5",

@@ -9,8 +9,9 @@ from fieldhopper.covering import (
     TableRow,
     cover_radius,
     fit_alpha,
-    solve_coverage,
+    solve_unit_covering,
 )
+from fieldhopper.kinematics import DroneSpec
 
 
 def grid_gap(centers, side, n=500):
@@ -22,20 +23,26 @@ def grid_gap(centers, side, n=500):
     return float(d.min(axis=1).max())
 
 
+def best_cover(m, side, seed, restarts=60):
+    """Radius and centers of the best layout the solver finds, scaled to ``side``."""
+    radius, centers = solve_unit_covering(m, seed, restarts)[0]
+    return radius * side, centers * side
+
+
 def test_single_disk_closed_form():
-    plan = solve_coverage(1, 1.0, seed=0)
-    assert plan.radius == pytest.approx(math.sqrt(0.5), rel=1e-12)
-    assert plan.centers[0] == pytest.approx([0.5, 0.5])
+    radius, centers = best_cover(1, 1.0, seed=0)
+    assert radius == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    assert centers[0] == pytest.approx([0.5, 0.5])
 
 
 def test_four_disks_quadrant_grid():
-    plan = solve_coverage(4, 1.0, seed=3, restarts=20)
-    assert plan.radius == pytest.approx(math.sqrt(2.0) / 4.0, abs=1e-3)
+    radius, _ = best_cover(4, 1.0, seed=3, restarts=20)
+    assert radius == pytest.approx(math.sqrt(2.0) / 4.0, abs=1e-3)
 
 
 def test_seven_disks_near_optimal():
-    plan = solve_coverage(7, 1.0, seed=11, restarts=50)
-    assert plan.radius <= 0.280
+    radius, _ = best_cover(7, 1.0, seed=11, restarts=50)
+    assert radius <= 0.280
 
 
 def test_exact_radius_vs_grid_oracle(rng):
@@ -50,21 +57,20 @@ def test_exact_radius_vs_grid_oracle(rng):
 
 @pytest.mark.parametrize("m", [2, 5, 9])
 def test_union_covers_square(m):
-    plan = solve_coverage(m, 100.0, seed=m, restarts=25)
-    assert plan.covers(grid=400, tol_factor=1e-6)
-    assert plan.max_gap(grid=400) <= plan.radius + 1e-6 * plan.area_side
+    radius, centers = best_cover(m, 100.0, seed=m, restarts=25)
+    assert grid_gap(centers, 100.0, n=400) <= radius + 1e-6 * 100.0
 
 
 def test_altitude_ties_radius_to_beamwidth():
-    plan = solve_coverage(3, 50.0, seed=2, restarts=15, beamwidth=math.radians(60.0))
-    assert plan.radius == pytest.approx(
-        plan.altitude * math.tan(plan.beamwidth / 2.0), rel=1e-12
-    )
+    radius, _ = best_cover(3, 50.0, seed=2, restarts=15)
+    drone = DroneSpec(speed=5.0, accel=2.0, decel=2.0, beamwidth=math.radians(60.0))
+    altitude = drone.altitude_for_radius(radius)
+    assert radius == pytest.approx(altitude * math.tan(drone.beamwidth / 2.0), rel=1e-12)
 
 
-def test_scale_equivariance():
-    a = solve_coverage(5, 1.0, seed=9, restarts=20)
-    b = solve_coverage(5, 250.0, seed=9, restarts=20)
+def test_scale_equivariance(table):
+    a = table.plan(5, 1.0)
+    b = table.plan(5, 250.0)
     # same normalized layout, scaled: solved once in unit coordinates
     assert np.array_equal(a.centers * 250.0, b.centers)
     assert b.radius == pytest.approx(a.radius * 250.0, rel=1e-15)
@@ -100,7 +106,7 @@ def test_table_round_trip(tmp_path, table):
 def test_plan_from_table_scales(table):
     plan = table.plan(6, 100.0)
     assert plan.radius == pytest.approx(table.delta(6) * 100.0)
-    assert plan.covers()
+    assert grid_gap(plan.centers, 100.0, n=400) <= plan.radius + 1e-6 * 100.0
 
 
 def test_fit_recovers_synthetic_coefficients():
@@ -131,7 +137,11 @@ def test_fit_ignores_zero_tour_row():
 
 
 def test_solver_rejects_bad_input():
+    table = NormalizedCoverageTable()
     with pytest.raises(ValueError):
-        solve_coverage(0, 1.0, seed=0)
+        table.plan(0, 1.0)
     with pytest.raises(ValueError):
-        solve_coverage(3, -1.0, seed=0)
+        table.plan(3, -1.0)
+    with pytest.raises(ValueError):
+        table.plan(3, 0.0)
+    assert table.rows == {}  # rejected before any row is solved

@@ -281,14 +281,6 @@ def test_krige_three_point_line_against_direct_solve():
     assert mse[0] == pytest.approx(want_mse, rel=1e-5)
 
 
-def test_krige_prior_mean_shift(cov75, rng):
-    pts = rng.random((4, 2)) * 30.0
-    vals = rng.standard_normal(4) + 7.0
-    target = np.array([[200.0, 200.0]])  # essentially uncorrelated
-    est, _ = krige(ObservationSet(pts, vals), target, cov75, prior_mean=7.0)
-    assert est[0] == pytest.approx(7.0, abs=0.3)
-
-
 def test_krige_mse_never_increases_with_observations(cov75, rng):
     for _ in range(200):
         pts = rng.random((5, 2)) * 60.0

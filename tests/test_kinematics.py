@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,13 +77,14 @@ def test_monotone_in_distance(drone):
 
 
 def test_paper_literal_branch(drone):
+    literal_drone = replace(drone, paper_literal=True)
     u = 0.5 * drone.ramp_distance
-    literal = hop_time(u, drone, paper_literal=True)
+    literal = hop_time(u, literal_drone)
     assert literal == pytest.approx(math.sqrt(u / (drone.accel + drone.decel)))
     # the printed short-hop form is discontinuous against the cruise branch
     ramp = drone.ramp_distance
-    below = hop_time(ramp * (1 - 1e-12), drone, paper_literal=True)
-    above = hop_time(ramp, drone, paper_literal=True)
+    below = hop_time(ramp * (1 - 1e-12), literal_drone)
+    above = hop_time(ramp, literal_drone)
     assert abs(above - below) > 0.5 * above
 
 
