@@ -82,9 +82,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         overrides["out_dir"] = args.out
     if getattr(args, "table", None):
         overrides["table_path"] = args.table
-    if getattr(args, "m_max", None):
+    if getattr(args, "m_max", None) is not None:
         overrides["m_max"] = args.m_max
-    if getattr(args, "m_min", None):
+    if getattr(args, "m_min", None) is not None:
         overrides["m_min"] = args.m_min
     if getattr(args, "fixed_beta", None) is not None:
         overrides["beta"] = args.fixed_beta

@@ -217,7 +217,10 @@ def _apply_key(cfg: RunConfig, key: str, value: str) -> RunConfig:
     if key == "aloha":
         return cfg.with_(aloha=None if value == OPTIMIZE else float(value))
     if key == "paper_literal_kinematics":
-        return cfg.with_(paper_literal_kinematics=value.lower() in ("1", "true", "yes"))
+        flag = value.lower()
+        if flag not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError(value)
+        return cfg.with_(paper_literal_kinematics=flag in ("1", "true", "yes"))
     if key not in _KEY_PARSERS:
         raise ConfigError(f"unknown key {key!r}")
     attr, parse = _KEY_PARSERS[key]

@@ -6,7 +6,8 @@ relocates to the center of the minimum enclosing circle of its cell, and the
 configuration radius is the largest cell vertex distance.  Both quantities
 are exact for a given configuration, so no evaluation grid is involved.
 Multistart (structured grids plus random layouts) with small perturbation
-kicks escapes poor local optima.
+kicks escapes poor local optima.  The starts descend together: one array
+pass clips the cells of every start for each relocation step.
 
 Results are always computed on the unit square and scaled, so plans for
 different field sizes are exactly similar.  A normalized table of covering
@@ -29,147 +30,225 @@ UNIT_SQUARE: list[Pt] = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
 # ---------------------------------------------------------------------------
-# exact cell geometry
+# exact cell geometry, for a batch of layouts at once
 
-def _clip_halfplane(poly: list[Pt], nx: float, ny: float, c: float) -> list[Pt]:
-    """Keep the part of a convex polygon with nx*x + ny*y <= c."""
-    if not poly:
-        return poly
-    out: list[Pt] = []
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        s1 = nx * x1 + ny * y1 - c
-        s2 = nx * x2 + ny * y2 - c
-        if s1 <= 0.0:
-            out.append((x1, y1))
-            if s2 > 0.0:
-                t = s1 / (s1 - s2)
-                out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
-        elif s2 <= 0.0:
-            t = s1 / (s1 - s2)
-            out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
-    return out
+def _clip(verts: np.ndarray, count: np.ndarray, nx: np.ndarray, ny: np.ndarray,
+          c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keep the part of each convex polygon with nx*x + ny*y <= c.
 
-
-def _voronoi_cells(centers: np.ndarray) -> list[list[Pt]]:
-    """Voronoi cell of each center, clipped to the unit square."""
-    m = len(centers)
-    cells: list[list[Pt]] = []
-    for i in range(m):
-        cix, ciy = centers[i]
-        poly = list(UNIT_SQUARE)
-        for j in range(m):
-            if j == i or not poly:
-                continue
-            cjx, cjy = centers[j]
-            nx, ny = cjx - cix, cjy - ciy
-            c = 0.5 * (cjx * cjx + cjy * cjy - cix * cix - ciy * ciy)
-            poly = _clip_halfplane(poly, nx, ny, c)
-        cells.append(poly)
-    return cells
+    Polygon k holds ``count[k]`` vertices in ``verts[k]``, followed by a copy
+    of its first vertex that closes the last edge, then padding.  Walking each
+    edge (x1, y1) -> (x2, y2), an inside start vertex is kept and an edge that
+    crosses the line adds its crossing point, in that order.
+    """
+    n, w, _ = verts.shape
+    x, y = verts[..., 0], verts[..., 1]
+    s = nx[:, None] * x + ny[:, None] * y - c[:, None]
+    s1, s2 = s[:, :-1], s[:, 1:]
+    inside = s <= 0.0
+    valid = np.arange(w - 1) < count[:, None]
+    emit = np.empty((n, w - 1, 2), dtype=bool)
+    emit[..., 0] = valid & inside[:, :-1]
+    emit[..., 1] = valid & (inside[:, :-1] != inside[:, 1:])
+    t = np.divide(s1, s1 - s2, out=np.zeros_like(s1), where=emit[..., 1])
+    pts = np.empty((n, w - 1, 2, 2))
+    pts[:, :, 0] = verts[:, :-1]
+    pts[:, :, 1, 0] = x[:, :-1] + t * (x[:, 1:] - x[:, :-1])
+    pts[:, :, 1, 1] = y[:, :-1] + t * (y[:, 1:] - y[:, :-1])
+    new_count = emit.sum(axis=(1, 2))
+    rows = np.repeat(np.arange(n), new_count)
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(new_count) - new_count, new_count)
+    out = np.zeros((n, int(new_count.max()) + 1, 2))
+    out[rows, slots] = pts[emit]
+    out[np.arange(n), new_count] = out[:, 0]
+    return out, new_count
 
 
-def _circle_from(points: list[Pt]) -> tuple[float, float, float]:
-    if not points:
-        return 0.0, 0.0, 0.0
-    if len(points) == 1:
-        return points[0][0], points[0][1], 0.0
-    if len(points) == 2:
-        (x1, y1), (x2, y2) = points
-        cx, cy = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
-        return cx, cy, math.hypot(x1 - cx, y1 - cy)
-    (ax, ay), (bx, by), (cx_, cy_) = points
-    d = 2.0 * (ax * (by - cy_) + bx * (cy_ - ay) + cx_ * (ay - by))
-    if abs(d) < 1e-14:
-        # collinear: fall back to the farthest pair
-        pairs = [(points[0], points[1]), (points[0], points[2]), (points[1], points[2])]
-        far = max(pairs, key=lambda p: (p[0][0] - p[1][0]) ** 2 + (p[0][1] - p[1][1]) ** 2)
-        return _circle_from(list(far))
-    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx_ * cx_ + cy_ * cy_
-    ux = (a2 * (by - cy_) + b2 * (cy_ - ay) + c2 * (ay - by)) / d
-    uy = (a2 * (cx_ - bx) + b2 * (ax - cx_) + c2 * (bx - ax)) / d
-    return ux, uy, math.hypot(ax - ux, ay - uy)
+def _voronoi(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Voronoi cells of every center of a (B, M, 2) batch, clipped to the unit square.
+
+    Cell i of a layout is the square clipped against the bisector with each
+    other center j in increasing j.  Returns the (B*M, V, 2) closed vertex
+    rows of ``_clip`` and their counts, cell i of layout b in row b*M + i.
+    """
+    b, m, _ = centers.shape
+    own = centers.reshape(b * m, 2)
+    cix, ciy = own[:, 0], own[:, 1]
+    verts = np.tile(np.array(UNIT_SQUARE + UNIT_SQUARE[:1]), (b * m, 1, 1))
+    count = np.full(b * m, len(UNIT_SQUARE))
+    i = np.tile(np.arange(m), b)
+    first = np.repeat(np.arange(b) * m, m)
+    for k in range(m - 1):
+        j = first + k + (k >= i)
+        cjx, cjy = own[j, 0], own[j, 1]
+        c = 0.5 * (cjx * cjx + cjy * cjy - cix * cix - ciy * ciy)
+        verts, count = _clip(verts, count, cjx - cix, cjy - ciy, c)
+    return verts, count
 
 
-def _in_circle(p: Pt, circle: tuple[float, float, float]) -> bool:
-    cx, cy, r = circle
-    return math.hypot(p[0] - cx, p[1] - cy) <= r * (1.0 + 1e-12) + 1e-15
+def _radii(centers: np.ndarray, verts: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Covering radius of each layout: its largest cell vertex distance.
+
+    Squared distances pick the few vertices that can be farthest; the
+    distance itself is ``math.hypot``, so radii do not depend on numpy's
+    hypot rounding.
+    """
+    b, m, _ = centers.shape
+    own = centers.reshape(b * m, 1, 2)
+    dx, dy = verts[..., 0] - own[..., 0], verts[..., 1] - own[..., 1]
+    d2 = np.where(np.arange(verts.shape[1]) < count[:, None], dx * dx + dy * dy, -1.0)
+    top = np.repeat(d2.reshape(b, -1).max(axis=1), m)
+    rows, cols = np.nonzero(d2 >= top[:, None] * (1.0 - 1e-9))
+    radius = np.zeros(b)
+    dist = list(map(math.hypot, dx[rows, cols].tolist(), dy[rows, cols].tolist()))
+    np.maximum.at(radius, rows // m, dist)
+    return radius
 
 
-def _mec(points: list[Pt]) -> tuple[float, float, float]:
-    """Welzl's minimum enclosing circle (points lists here are tiny)."""
-    pts = list(points)
-    circle = (0.0, 0.0, -1.0)
-    for i, p in enumerate(pts):
-        if circle[2] >= 0.0 and _in_circle(p, circle):
+def _mec_center(pts: list) -> tuple[float, float]:
+    """Center of the minimum enclosing circle, by Welzl's incremental scheme.
+
+    A point is inside within ``r*(1 + 1e-12) + 1e-15``; collinear triples fall
+    back to their farthest pair.  Cells are often rectangles with four
+    cocircular vertices, so the visiting order decides the last bits.
+    """
+    cx = cy = 0.0
+    lim = -1.0
+    for i, (px, py) in enumerate(pts):
+        if lim >= 0.0 and math.hypot(px - cx, py - cy) <= lim:
             continue
-        circle = (p[0], p[1], 0.0)
+        cx, cy, lim = px, py, 1e-15
         for j in range(i):
-            q = pts[j]
-            if _in_circle(q, circle):
+            qx, qy = pts[j]
+            if math.hypot(qx - cx, qy - cy) <= lim:
                 continue
-            circle = _circle_from([p, q])
+            cx, cy = 0.5 * (px + qx), 0.5 * (py + qy)
+            lim = math.hypot(px - cx, py - cy) * (1.0 + 1e-12) + 1e-15
             for k in range(j):
-                s = pts[k]
-                if _in_circle(s, circle):
+                sx, sy = pts[k]
+                if math.hypot(sx - cx, sy - cy) <= lim:
                     continue
-                circle = _circle_from([p, q, s])
-    return circle
-
-
-def _config_radius(centers: np.ndarray, cells: list[list[Pt]]) -> float:
-    worst = 0.0
-    for (cx, cy), cell in zip(centers, cells):
-        for x, y in cell:
-            d = math.hypot(x - cx, y - cy)
-            if d > worst:
-                worst = d
-    return worst
+                d = 2.0 * (px * (qy - sy) + qx * (sy - py) + sx * (py - qy))
+                if abs(d) < 1e-14:
+                    pairs = [((px, py), (qx, qy)), ((px, py), (sx, sy)), ((qx, qy), (sx, sy))]
+                    (ax, ay), (bx, by) = max(
+                        pairs, key=lambda e: (e[0][0] - e[1][0]) ** 2 + (e[0][1] - e[1][1]) ** 2
+                    )
+                    cx, cy = 0.5 * (ax + bx), 0.5 * (ay + by)
+                    r = math.hypot(ax - cx, ay - cy)
+                else:
+                    a2, b2, c2 = px * px + py * py, qx * qx + qy * qy, sx * sx + sy * sy
+                    cx = (a2 * (qy - sy) + b2 * (sy - py) + c2 * (py - qy)) / d
+                    cy = (a2 * (sx - qx) + b2 * (px - sx) + c2 * (qx - px)) / d
+                    r = math.hypot(px - cx, py - cy)
+                lim = r * (1.0 + 1e-12) + 1e-15
+    return cx, cy
 
 
 def cover_radius(centers: np.ndarray) -> float:
     """Exact covering radius of the unit square for the given centers."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    return _config_radius(centers, _voronoi_cells(centers))
+    batch = np.atleast_2d(np.asarray(centers, dtype=float))[None]
+    return float(_radii(batch, *_voronoi(batch))[0])
 
 
 # ---------------------------------------------------------------------------
 # local search
 
-def _relocate_once(centers: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    cells = _voronoi_cells(centers)
-    radius = _config_radius(centers, cells)
-    new = centers.copy()
-    for i, cell in enumerate(cells):
-        if len(cell) < 3:
-            new[i] = rng.random(2)
+KICK_SCALES = (0.3, 0.15, 0.08, 0.04)
+MAX_ITER = 120
+
+
+def _descend_starts(starts: np.ndarray, rng: np.random.Generator) -> list[tuple[float, np.ndarray]]:
+    """Descend, kick and re-descend the leading starts of a (B, M, 2) batch.
+
+    A descent relocates each center to the minimum enclosing circle of its
+    Voronoi cell until no center moves by 1e-10 or MAX_ITER steps pass, and
+    keeps the best layout it saw, the final one included.  Each start is then
+    kicked once per KICK_SCALES entry by ``scale * radius`` times a standard
+    normal, and keeps a kicked descent that lowers its radius.  Each pass
+    advances every running start by one step; a start whose descent has
+    ended takes its next kick in the same pass, so starts run out of phase.
+
+    Random numbers are used as a start-by-start loop would use them.  The
+    kicks of all B starts are drawn ahead as one block of standard normals
+    (``Generator.normal`` is ``0.0 + scale * z``).  A cell with fewer than
+    three vertices is reseeded with two uniforms at its place in the stream,
+    which the block has already passed.  So the first start to need that
+    rewinds the generator past the kicks of the starts before it, begins
+    again and draws as it goes; the starts after it are dropped.  A pass
+    that switches starts this way is run again; it changes nothing for the
+    other starts.  Returns the (radius, centers) of the starts it finished:
+    all B, or those up to and including the one that drew as it went.
+    """
+    b, m, _ = starts.shape
+    n_kicks = len(KICK_SCALES)
+    cur = starts.copy()
+    best_r, best_c = np.full(b, math.inf), cur.copy()
+    r, c = np.full(b, math.inf), cur.copy()
+    steps = np.zeros(b, dtype=int)
+    phase = np.zeros(b, dtype=int)
+    ending = np.zeros(b, dtype=bool)
+    done = np.zeros(b, dtype=bool)
+    state = rng.bit_generator.state
+    kicks = rng.standard_normal((b, n_kicks, m, 2))
+    live = b  # the start drawing as it goes; starts after it are dropped
+    while not done[:live + 1].all():
+        lanes = np.flatnonzero(~done[:live + 1])
+        verts, count = _voronoi(cur[lanes])
+        radius = _radii(cur[lanes], verts, count)
+        better = radius < best_r[lanes]
+        best_r[lanes[better]] = radius[better]
+        best_c[lanes[better]] = cur[lanes[better]]
+
+        # Reseeds are not rare: at M=8 the descents of the ring start and of
+        # one square-contour start put two centers on one point after seven
+        # relocation steps.  Their bisector reads 0 <= c with c a rounding
+        # residue (-5.6e-17), which clips both cells to nothing.  The reseed
+        # is kept so that seeded tables replay bit for bit.
+        empty = lanes[(count.reshape(-1, m) < 3).any(axis=1) & ~ending[lanes]]
+        if empty.size and empty[0] != live:
+            live = int(empty[0])
+            rng.bit_generator.state = state
+            rng.standard_normal((live, n_kicks, m, 2))
+            cur[live], best_r[live], r[live] = starts[live], math.inf, math.inf
+            steps[live] = phase[live] = 0
+            ending[live] = False
             continue
-        cx, cy, _ = _mec(cell)
-        new[i] = (min(max(cx, 0.0), 1.0), min(max(cy, 0.0), 1.0))
-    return new, radius
 
+        # one relocation step of every start still descending
+        moving = np.flatnonzero(~ending[lanes])
+        fin = lanes[ending[lanes]]
+        rows = (moving[:, None] * m + np.arange(m)).ravel()
+        moved = []
+        for cell, size in zip(verts[rows].tolist(), count[rows].tolist()):
+            if size < 3:
+                moved.append(rng.random(2))
+                continue
+            x, y = _mec_center(cell[:size])
+            moved.append((min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0)))
+        step = lanes[moving]
+        new = np.array(moved).reshape(-1, m, 2)
+        still = np.abs(new - cur[step]).max(axis=(1, 2)) < 1e-10
+        cur[step] = new
+        steps[step] += 1
+        ending[step] = still | (steps[step] == MAX_ITER)
 
-def _descend(
-    centers: np.ndarray, rng: np.random.Generator, max_iter: int = 120
-) -> tuple[float, np.ndarray]:
-    best_r = math.inf
-    best_c = centers.copy()
-    cur = centers.copy()
-    for _ in range(max_iter):
-        new, radius = _relocate_once(cur, rng)
-        if radius < best_r:
-            best_r = radius
-            best_c = cur.copy()
-        if np.max(np.abs(new - cur)) < 1e-10:
-            cur = new
-            break
-        cur = new
-    radius = cover_radius(cur)
-    if radius < best_r:
-        best_r, best_c = radius, cur.copy()
-    return best_r, best_c
+        # descents whose final layout was just measured: keep the best, then kick
+        improved = fin[best_r[fin] < r[fin]]
+        r[improved], c[improved] = best_r[improved], best_c[improved]
+        done[fin[phase[fin] == n_kicks]] = True
+        fin = fin[phase[fin] < n_kicks]
+        if fin.size:
+            z = kicks[fin, phase[fin]]
+            if live in fin:
+                z[fin == live] = rng.standard_normal((m, 2))
+            scale = np.array(KICK_SCALES)[phase[fin]] * r[fin]
+            cur[fin] = np.clip(c[fin] + (0.0 + scale[:, None, None] * z), 0.0, 1.0)
+            best_r[fin] = math.inf
+            steps[fin] = 0
+            phase[fin] += 1
+            ending[fin] = False
+    return [(float(r[k]), c[k].copy()) for k in range(min(live + 1, b))]
 
 
 def _grid_starts(m: int) -> list[np.ndarray]:
@@ -241,9 +320,6 @@ def _square_ring_starts(m: int) -> list[np.ndarray]:
     return starts
 
 
-KICK_SCALES = (0.3, 0.15, 0.08, 0.04)
-
-
 def solve_unit_covering(
     m: int, seed: int, restarts: int = 60
 ) -> list[tuple[float, np.ndarray]]:
@@ -256,19 +332,14 @@ def solve_unit_covering(
     if m == 1:
         return [(math.sqrt(0.5), np.array([[0.5, 0.5]]))]
     rng = np.random.default_rng(seed)
-    candidates: list[tuple[float, np.ndarray]] = []
     structured = _grid_starts(m) + _row_starts(m) + _ring_starts(m) + _square_ring_starts(m)
     starts = [s for s in structured if len(s) == m]
     while len(starts) < restarts:
         starts.append(rng.random((m, 2)))
-    for start in starts:
-        r, c = _descend(np.array(start, dtype=float), rng)
-        for scale in KICK_SCALES:
-            kicked = np.clip(c + rng.normal(scale=scale * r, size=c.shape), 0.0, 1.0)
-            r2, c2 = _descend(kicked, rng)
-            if r2 < r:
-                r, c = r2, c2
-        candidates.append((r, c))
+    starts = np.array(starts, dtype=float)
+    candidates: list[tuple[float, np.ndarray]] = []
+    while len(candidates) < len(starts):
+        candidates += _descend_starts(starts[len(candidates):], rng)
     candidates.sort(key=lambda rc: rc[0])
     return candidates
 

@@ -204,6 +204,30 @@ def test_config_errors_exit_as_usage_errors(tmp_path, line):
     assert code == cli.EXIT_INFEASIBLE
 
 
+@pytest.mark.parametrize("args", [["plan", "--m-min", "0", "--m-max", "0"],
+                                  ["plan", "--m-max", "0"],
+                                  ["coverage-table", "--m-max", "0"]])
+def test_zero_m_range_exits_as_usage_error(tmp_path, args):
+    code = run([*args, "--out", str(tmp_path), "--label", "zero"])
+    assert code == cli.EXIT_INFEASIBLE
+    assert not (tmp_path / args[0] / "zero").exists()
+
+
+@pytest.mark.parametrize("value, flag", [("1", True), ("TRUE", True), ("yes", True),
+                                         ("0", False), ("False", False), ("NO", False)])
+def test_config_paper_literal_kinematics_values(tmp_path, value, flag):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"paper_literal_kinematics = {value}\n")
+    assert load_config(cfg_file).paper_literal_kinematics is flag
+
+
+def test_config_rejects_misspelt_boolean(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("paper_literal_kinematics = ture\n")
+    with pytest.raises(ConfigError, match="run.cfg:1: bad value for 'paper_literal_kinematics'"):
+        load_config(cfg_file)
+
+
 def test_missing_config_file_exits_as_usage_error(tmp_path):
     code = run(["plan", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)])
     assert code == cli.EXIT_INFEASIBLE

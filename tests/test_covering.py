@@ -1,12 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from fieldhopper.covering import (
+    UNIT_SQUARE,
     AlphaFit,
     NormalizedCoverageTable,
     TableRow,
+    _voronoi,
     cover_radius,
     fit_alpha,
     solve_unit_covering,
@@ -53,6 +56,65 @@ def test_exact_radius_vs_grid_oracle(rng):
         cell = math.sqrt(2.0) / 2.0 / 399.0
         assert grid <= exact + 1e-12
         assert exact <= grid + cell
+
+
+def scalar_cells(centers):
+    """Voronoi cells clipped one polygon and one bisector at a time (reference)."""
+    cells = []
+    for i, (cix, ciy) in enumerate(centers):
+        poly = list(UNIT_SQUARE)
+        for j, (cjx, cjy) in enumerate(centers):
+            if j == i or not poly:
+                continue
+            nx, ny = cjx - cix, cjy - ciy
+            c = 0.5 * (cjx * cjx + cjy * cjy - cix * cix - ciy * ciy)
+            side = [nx * x + ny * y - c for x, y in poly]
+            out = []
+            for k, (x1, y1) in enumerate(poly):
+                (x2, y2), s1, s2 = poly[(k + 1) % len(poly)], side[k], side[(k + 1) % len(poly)]
+                if s1 <= 0.0:
+                    out.append((x1, y1))
+                if (s1 <= 0.0) != (s2 <= 0.0):
+                    t = s1 / (s1 - s2)
+                    out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+            poly = out
+        cells.append(poly)
+    return cells
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9, 13])
+def test_batched_cells_match_scalar_clip(rng, m):
+    # snapped layouts put centers on cell edges, corners and each other
+    layouts = [rng.random((m, 2)) for _ in range(4)]
+    layouts += [np.round(rng.random((m, 2)) * 4.0) / 4.0 for _ in range(4)]
+    verts, count = _voronoi(np.array(layouts))
+    for b, centers in enumerate(layouts):
+        cells = scalar_cells(centers)
+        for i, cell in enumerate(cells):
+            row = b * m + i
+            assert [tuple(v) for v in verts[row, :count[row]].tolist()] == cell
+        worst = max((math.hypot(x - cx, y - cy) for (cx, cy), cell in zip(centers, cells)
+                     for x, y in cell), default=0.0)
+        assert cover_radius(centers) == worst
+
+
+# sha256 of the full sorted candidate list (each radius, then its centers, as
+# little-endian float64), recorded at commit c1be5c9, whose solver descended
+# one start at a time; (8, 0, 10) reseeds empty cells of coincident centers
+CANDIDATE_DIGESTS = {
+    (8, 0, 10): "7404b8ad7095f878f8a0a5e28cfa41f0ac64918905be0ade935969420394e0aa",
+    (3, 4, 10): "836b9a7b0be33fe7ffa5243ac6393886c08580f7d8f3fe24d88ad3a7561d370c",
+    (5, 6, 10): "bd91e1da6450041344b08f6efce2e74c475bead9c426e870df736021c066cd2c",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CANDIDATE_DIGESTS), ids="m{0[0]}-seed{0[1]}".format)
+def test_solver_candidates_bit_identical(case):
+    digest = hashlib.sha256()
+    for radius, centers in solve_unit_covering(*case):
+        digest.update(np.float64(radius).astype("<f8").tobytes())
+        digest.update(np.asarray(centers, dtype="<f8").tobytes())
+    assert digest.hexdigest() == CANDIDATE_DIGESTS[case]
 
 
 @pytest.mark.parametrize("m", [2, 5, 9])
