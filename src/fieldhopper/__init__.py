@@ -38,7 +38,6 @@ from .field import (
     krige,
     no_success_probability,
     optimal_slots_estimation,
-    required_total_observations,
     sample_field,
 )
 from .kinematics import DroneSpec, hop_time, travel_time, travel_time_approx

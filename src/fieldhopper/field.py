@@ -25,7 +25,6 @@ from .channel import (
     RadioSpec,
     edge_success_probability,
     slot_duration,
-    success_probability,
 )
 from .search import golden_min
 
@@ -45,7 +44,6 @@ __all__ = [
     "probe_radius_limit",
     "estimation_slots",
     "optimal_slots_estimation",
-    "required_total_observations",
 ]
 
 MAX_FACTOR_POINTS = 5000
@@ -171,18 +169,11 @@ def krige(obs: ObservationSet, targets, spec: CovarianceSpec) -> tuple[np.ndarra
     its diagonal; if its factorization still fails the input is degenerate.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    if len(obs) == 0:
+        return np.zeros(len(targets)), np.full(len(targets), spec.sigma2)
     sigma_oo = covariance_matrix(spec, obs.locations)
     sigma_oo[np.diag_indices_from(sigma_oo)] += JITTER_FACTOR * spec.sigma2
     sigma_to = covariance_matrix(spec, targets, obs.locations)
-    return _krige_solve(sigma_oo, sigma_to, obs.values, spec.sigma2)
-
-
-def _krige_solve(sigma_oo, sigma_to, values, sigma2: float):
-    """Kriging estimates and MSE from the jittered observation covariance
-    ``sigma_oo`` and the target-by-observation covariance ``sigma_to``."""
-    t = len(sigma_to)
-    if len(values) == 0:
-        return np.zeros(t), np.full(t, sigma2)
     try:
         factor = linalg.cho_factor(sigma_oo, lower=True)
     except linalg.LinAlgError as exc:
@@ -190,57 +181,33 @@ def _krige_solve(sigma_oo, sigma_to, values, sigma2: float):
             "observation covariance is not positive definite"
         ) from exc
     weights = linalg.cho_solve(factor, sigma_to.T)
-    estimates = weights.T @ values
-    mse = sigma2 - np.einsum("ij,ji->i", sigma_to, weights)
+    estimates = weights.T @ obs.values
+    mse = spec.sigma2 - np.einsum("ij,ji->i", sigma_to, weights)
     return estimates, np.maximum(mse, 0.0)
 
 
 def sample_field(locations, spec: CovarianceSpec, seed) -> np.ndarray:
     """One exact draw of the field at the given locations (zero mean).
 
-    Dense factorization, so the location count is capped; tile larger
-    requests into conditional blocks instead.
+    Dense factorization of the covariance with kriging's 1e-10 relative
+    jitter, so the location count is capped.  Draw only the points that are
+    read: the marginal of a Gaussian vector is exact, so a Monte Carlo that
+    krigs probes from heard nodes draws at heard nodes and probes, not at
+    every node.  Tile larger requests into conditional blocks.
     """
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
-    if len(locations) == 0:
-        return np.empty(0)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _draw(spec, locations, rng)[1]
-
-
-def _draw(spec: CovarianceSpec, locations: np.ndarray, rng: np.random.Generator):
-    """Jittered covariance at ``locations`` and one draw from its Cholesky factor."""
     n = len(locations)
+    if n == 0:
+        return np.empty(0)
     if n > MAX_FACTOR_POINTS:
         raise ValueError(
             f"{n} locations exceed the dense-factorization cap of "
             f"{MAX_FACTOR_POINTS}; sample in tiles instead"
         )
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     cov = covariance_matrix(spec, locations)
     cov[np.diag_indices_from(cov)] += JITTER_FACTOR * spec.sigma2
-    return cov, np.linalg.cholesky(cov) @ rng.standard_normal(n)
-
-
-def _draw_and_krige(
-    spec: CovarianceSpec,
-    locations: np.ndarray,
-    observed: np.ndarray,
-    targets: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Field values at ``locations`` and their kriging estimates at ``targets``.
-
-    ``observed`` and ``targets`` index ``locations``; ``observed`` holds
-    distinct indices, so no point is merged.  One jittered covariance serves
-    both steps: the draw comes from its Cholesky factor, and the kriging
-    system is its submatrix at the observed rows and its target rows.
-    """
-    cov, values = _draw(spec, locations, rng)
-    estimates, _ = _krige_solve(
-        cov[np.ix_(observed, observed)], cov[np.ix_(targets, observed)],
-        values[observed], spec.sigma2,
-    )
-    return values, estimates
+    return np.linalg.cholesky(cov) @ rng.standard_normal(n)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +352,3 @@ def optimal_slots_estimation(
         p_edge_success=edge_success_probability(geom, radio, r_star),
         hover_time=j_star * slot_duration(radio),
     )
-
-
-def required_total_observations(
-    geom: HoverGeometry, radio: RadioSpec, j_star: float, area: float
-) -> float:
-    """Expected field-wide captured samples when every hover runs j_star slots."""
-    p = success_probability(geom, radio)
-    return p * j_star * area / (math.pi * geom.radius**2)

@@ -3,9 +3,11 @@
 Everything here is brute force on purpose: nodes are drawn as a Poisson
 field, every slot draws Bernoulli transmit decisions and Gamma fading gains,
 and the slot succeeds when the best SINR clears the threshold.  Field
-experiments sample the Gaussian field jointly at node and probe positions
-from one covariance factorization per replication.  A root seed expands into
-independent per-replication substreams, so results replay exactly.
+experiments run the library's own estimator: per replication they draw the
+Gaussian field with ``sample_field`` at the heard nodes and the probes only
+(the rest of the field is never read) and krige the probes from the heard
+nodes with ``krige``.  A root seed expands into independent per-replication
+substreams, so results replay exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .channel import HoverGeometry, RadioSpec
-from .field import CovarianceSpec, _draw_and_krige
+from .field import CovarianceSpec, ObservationSet, krige, sample_field
 
 __all__ = [
     "Disk",
@@ -225,10 +227,11 @@ def estimate_plan_edge_mse(
 
     One node field over the whole square per replication; each hover hears
     its covered nodes; all successes kriged together at the probe points.
-    The field is drawn at nodes and probes from one covariance, which also
-    gives the kriging system.  The recorded sample per replication is the
-    mean squared error over the probes.  ``j_slots`` is the slot budget;
-    ``config.slots`` is not read.
+    The field is drawn at the heard nodes and the probes alone, which is the
+    marginal of the whole-field draw, so the dense-factorization cap applies
+    to heard nodes plus probes, not to every node.  The recorded sample per
+    replication is the mean squared error over the probes.  ``j_slots`` is
+    the slot budget; ``config.slots`` is not read.
     """
     if config.covariance is None:
         raise ValueError("estimate_plan_edge_mse needs a covariance spec")
@@ -242,14 +245,12 @@ def estimate_plan_edge_mse(
     for i, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         nodes = sample_ppp(SquareRegion(side), geom.density, rng)
-        heard: list[np.ndarray] = []
-        for center in centers:
-            heard.append(_collect_hover(nodes, center, geom, radio, j_slots, rng))
-        heard_idx = np.unique(np.concatenate(heard)) if heard else np.empty(0, int)
-        points = np.vstack([nodes, probe_points])
-        probes = np.arange(len(nodes), len(points))
-        values, est = _draw_and_krige(spec, points, heard_idx, probes, rng)
-        errors[i] = float(np.mean((est - values[probes]) ** 2))
+        heard = [_collect_hover(nodes, c, geom, radio, j_slots, rng) for c in centers]
+        observed = nodes[np.unique(np.concatenate(heard))] if heard else np.empty((0, 2))
+        values = sample_field(np.vstack([observed, probe_points]), spec, rng)
+        h = len(observed)
+        est, _ = krige(ObservationSet(observed, values[:h]), probe_points, spec)
+        errors[i] = float(np.mean((est - values[h:]) ** 2))
     stats = SimStats(slots=j_slots, replications=config.replications)
     stats.mse_samples = errors
     stats.mse_mean = float(errors.mean())

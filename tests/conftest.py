@@ -32,15 +32,40 @@ REFERENCE_ALPHA = [
 ]
 
 
+def pytest_configure(config):
+    # a reference integral that misses its tolerance fails its test, unless
+    # the test records the warning itself; added here rather than in
+    # pyproject.toml, where resolving the class would import numpy first
+    config.addinivalue_line("filterwarnings", "error::scipy.integrate.IntegrationWarning")
+
+
+REFERENCE_RTOL = 1e-13  # relative tolerance every QUADPACK reference asks for
+
+
 def reference_quad(f, lo, hi):
     """Integral of a vectorized ``f`` over [lo, hi] by QUADPACK at 1e-13 relative.
 
-    Independent of ``fieldhopper.quadrature``, so it can serve as a reference.
+    Returns the value and QUADPACK's own error estimate.  Independent of
+    ``fieldhopper.quadrature``, so it can serve as a reference.
     """
-    value, _ = integrate.quad(
-        lambda x: float(f(np.array([x]))[0]), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200
+    return integrate.quad(
+        lambda x: float(f(np.array([x]))[0]), lo, hi, epsabs=0.0, epsrel=REFERENCE_RTOL, limit=200
     )
-    return value
+
+
+def reference_lens_quad(f, cover, probe):
+    """Integral of a vectorized ``f(w)`` over in-disk radii [0, cover] for the
+    edge lens of a probe disk of radius ``probe``, with its error estimate.
+
+    Split at the inner tangency lo = |cover - probe|.  The lens angle has a
+    square-root endpoint there, so the segment [lo, cover] runs in u with
+    w = lo + (cover - lo) u^2, as the library's edge rule does.
+    """
+    lo = min(abs(cover - probe), cover)
+    span = cover - lo
+    core, core_err = reference_quad(f, 0.0, lo)
+    lens, lens_err = reference_quad(lambda u: f(lo + span * u**2) * 2.0 * span * u, 0.0, 1.0)
+    return core + lens, core_err + lens_err
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ from fieldhopper.channel import (
     theta_lens,
 )
 
-from conftest import reference_quad
+from conftest import REFERENCE_RTOL, reference_lens_quad, reference_quad
 
 
 def test_radio_validation():
@@ -297,15 +297,16 @@ def exact_kernel(r, geom, radio):
 
 
 def edge_reference(geom, radio, r_mse):
-    """Adaptive integral over ground distance at 1e-13 relative, split at the lens kink."""
+    """Adaptive integral over ground distance at 1e-13 relative, split at the lens kink
+    and free of the lens angle's square-root endpoint."""
     h, cover = geom.altitude, geom.radius
 
     def integrand(w):
         slant = np.sqrt(w**2 + h**2)
         return channel._capture_kernel(slant, geom, radio) * w * theta_lens(w, cover, r_mse)
 
-    breaks = sorted({0.0, cover} | {w for w in (abs(r_mse - cover),) if 0.0 < w < cover})
-    total = sum(reference_quad(integrand, lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:]))
+    total, err = reference_lens_quad(integrand, cover, r_mse)
+    assert err <= REFERENCE_RTOL * total
     return radio.aloha * geom.density * total
 
 
@@ -386,12 +387,13 @@ def disk_reference(geom, radio):
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
-        value = reference_quad(integrand, geom.altitude, geom.slant)
+        value, err = reference_quad(integrand, geom.altitude, geom.slant)
     p = 2.0 * math.pi * radio.aloha * geom.density * value
     # near the underflow floor the kernel's own rounding exceeds 1e-13
     # relative, so the reference may report that it missed its tolerance;
     # only the absolute bar applies to values that small
     assert not caught or p < 1e-200
+    assert err <= REFERENCE_RTOL * value or p < 1e-200
     return p
 
 

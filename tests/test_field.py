@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from fieldhopper.channel import HoverGeometry, edge_success_probability, theta_lens
+from fieldhopper.channel import edge_success_probability, theta_lens
 from fieldhopper.field import (
     CovarianceSpec,
     EstimationInfeasible,
@@ -21,11 +21,10 @@ from fieldhopper.field import (
     no_success_probability,
     optimal_slots_estimation,
     probe_radius_limit,
-    required_total_observations,
     sample_field,
 )
 
-from conftest import reference_quad
+from conftest import REFERENCE_RTOL, reference_lens_quad
 
 
 def lens_area(cover_r: float, probe_r: float) -> float:
@@ -396,8 +395,8 @@ def test_rho_matches_lens_angle_integral(cover):
         def integrand(w):
             return w * theta_lens(w, cover, probe)
 
-        breaks = sorted({0.0, cover} | {w for w in (abs(probe - cover),) if 0.0 < w < cover})
-        lens = sum(reference_quad(integrand, lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:]))
+        lens, err = reference_lens_quad(integrand, cover, probe)
+        assert err <= REFERENCE_RTOL * lens
         want = lens / (math.pi * probe**2)
         assert area_ratio_rho(cover, probe) == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -469,21 +468,6 @@ def test_infeasible_variance_raises(geom20, radio):
     spec = CovarianceSpec(sigma2=2.0, nu=0.5, b=75.0)
     with pytest.raises(EstimationInfeasible):
         optimal_slots_estimation(geom20, radio, spec, delta=0.1)
-
-
-def test_required_observations(geom20, radio):
-    assert required_total_observations(geom20, radio.with_(aloha=0.0), 50, 1e4) == 0.0
-    k1 = required_total_observations(geom20, radio, 50, 1e4)
-    assert k1 > 0.0
-
-
-def test_required_observations_grow_with_radius(radio, cov75):
-    values = []
-    for r in (15.0, 20.0, 25.0, 30.0):
-        geom = HoverGeometry(radius=r, altitude=r, density=0.1)
-        budget = optimal_slots_estimation(geom, radio, cov75, delta=0.2)
-        values.append(required_total_observations(geom, radio, budget.j_star, 1e4))
-    assert all(b > a for a, b in zip(values[:-1], values[1:]))
 
 
 def test_estimation_slots_array_matches_scalar_calls(geom20, radio, cov75):

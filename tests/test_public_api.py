@@ -22,7 +22,7 @@ EXPORTS = {
     "krige", "laplace_derivative", "laplace_interference", "load_config",
     "multi_uav_total", "no_success_probability", "optimal_aloha", "optimal_beta",
     "optimal_slots_estimation", "plan_aggregation", "plan_estimation",
-    "required_total_observations", "sample_field", "sample_ppp", "slot_duration",
+    "sample_field", "sample_ppp", "slot_duration",
     "solve_minmax_mdmtsp", "solve_tsp", "success_probability", "travel_time",
     "travel_time_approx",
 }
