@@ -96,10 +96,10 @@ class HoverGeometry:
     density: float
 
     def __post_init__(self) -> None:
-        if self.radius <= 0 or self.altitude <= 0:
-            raise ValueError("radius and altitude must be positive")
-        if self.density < 0:
-            raise ValueError("density must be non-negative")
+        if not (0 < self.radius < math.inf and 0 < self.altitude < math.inf):
+            raise ValueError("radius and altitude must be positive and finite")
+        if not 0 <= self.density < math.inf:
+            raise ValueError("density must be non-negative and finite")
 
     @property
     def slant(self) -> float:

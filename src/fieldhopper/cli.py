@@ -71,6 +71,13 @@ def _write_csv(path: Path, cfg: RunConfig, header: str, rows: list[str]) -> None
     path.write_text("\n".join([_stamp(cfg), header, *rows]) + "\n")
 
 
+def _check_positive(**options: float | None) -> None:
+    """Raise :class:`ConfigError` for a given option that is not a positive number."""
+    for name, value in options.items():
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"--{name.replace('_', '-')} must be a positive number, got {value!r}")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     overrides = {}
@@ -156,8 +163,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _sweep_grid(spec: str) -> np.ndarray:
-    lo, hi, n = spec.split(":")
-    return np.linspace(float(lo), float(hi), int(n))
+    try:
+        lo, hi, n = spec.split(":")
+        grid = np.linspace(float(lo), float(hi), int(n))
+    except ValueError as exc:
+        raise ConfigError(f"--grid wants lo:hi:n, got {spec!r}") from exc
+    if grid.size == 0 or not np.isfinite(grid).all():
+        raise ConfigError(f"--grid {spec!r} must give at least one point, all finite")
+    return grid
 
 
 def _sweep_beta(cfg, geom, value):
@@ -215,8 +228,9 @@ _SWEEP_AXES = {
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     grid = _sweep_grid(args.grid)
-    if grid.size == 0:
-        raise SystemExit("empty sweep grid")
+    _check_positive(radius=args.radius)
+    if args.with_mc:
+        _check_positive(slots=args.slots, replications=args.replications)
     geom = HoverGeometry(args.radius, cfg.drone().altitude_for_radius(args.radius), cfg.density)
     sweep = _SWEEP_AXES[args.axis]
     if args.axis == "area":
@@ -241,8 +255,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    if args.replications < 1 or args.slots < 1:
-        raise SystemExit("simulate needs at least one replication and one slot")
+    _check_positive(radius=args.radius, probe_radius=args.probe_radius,
+                    slots=args.slots, replications=args.replications)
     radio = cfg.radio()
     geom = HoverGeometry(args.radius, cfg.drone().altitude_for_radius(args.radius), cfg.density)
     if cfg.aloha is None:

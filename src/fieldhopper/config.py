@@ -74,6 +74,12 @@ class RunConfig:
         """Raise :class:`ConfigError` for values outside the model."""
         if self.mission not in ("aggregation", "estimation"):
             raise ConfigError(f"unknown mission {self.mission!r}")
+        # NaN passes every `<= 0` check below, and no quantity of the model is infinite
+        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        values += [("depots", v) for depot in self.depots or () for v in depot]
+        for name, value in values:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.mission == "aggregation" and self.zeta <= 0:
             raise ConfigError("aggregation mission needs zeta > 0")
         if self.mission == "estimation" and not 0 < self.delta < self.sigma2:

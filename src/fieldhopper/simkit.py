@@ -1,8 +1,11 @@
 """Monte Carlo ground truth for the analytic channel and field expressions.
 
 Everything here is brute force on purpose: nodes are drawn as a Poisson
-field, every slot draws Bernoulli transmit decisions and Gamma fading gains,
-and the slot succeeds when the best SINR clears the threshold.  Field
+field, every slot draws Bernoulli transmit decisions and Gamma fading gains
+for every node, and the slot succeeds when the best SINR clears the
+threshold.  The draws are dense, but the SINR arithmetic runs over the
+transmitters alone; with a threshold of at least 1 a slot has at most one
+entry above it, so that entry is the max-SINR winner.  Field
 experiments run the library's own estimator: per replication they draw the
 Gaussian field with ``sample_field`` at the heard nodes and the probes only
 (the rest of the field is never read) and krige the probes from the heard
@@ -132,7 +135,20 @@ def _simulate_batch(
     rng: np.random.Generator,
     slots: int,
 ) -> tuple[np.ndarray, int]:
-    """Winner node index per slot (-1 for none) and multi-capture count."""
+    """Winner node index per slot (-1 for none) and multi-capture count.
+
+    The draws are dense: per chunk of slots, one uniform per (node, slot)
+    decides who transmits, then one Gamma(m) fade per (node, slot)
+    overwrites it.  The draw buffer is allocated once per call (the shorter
+    last chunk gets its own), so no chunk maps fresh pages.  The arithmetic
+    after the draws runs over the transmitting entries alone.  A slot's
+    total adds its transmitters' powers in node order, which is what a sum
+    over all nodes with zeros for the silent ones gives, bit for bit.
+    Since ``beta >= 1``, an entry above the threshold receives at least as
+    much as all other entries plus noise together, so at most one entry per
+    slot clears it, and that entry has the slot's highest SINR: it is the
+    winner.  ``multi`` counts slots where rounding let a second one through.
+    """
     n = len(slant)
     winners = np.full(slots, -1, dtype=np.int64)
     multi = 0
@@ -143,17 +159,20 @@ def _simulate_batch(
     done = 0
     while done < slots:
         c = min(SLOT_CHUNK, slots - done)
-        active = rng.random((n, c)) < radio.aloha
-        gains = rng.standard_gamma(radio.m, (n, c)) / radio.m
-        rx = decay[:, None] * gains * active
-        total = rx.sum(axis=0)
-        sinr = rx / (total - rx + noise_ratio)
-        above = sinr >= radio.beta
-        counts = above.sum(axis=0)
-        multi += int((counts > 1).sum())
-        hit = counts >= 1
-        idx = np.argmax(sinr, axis=0)
-        winners[done : done + c] = np.where(hit, idx, -1)
+        if done == 0 or c < SLOT_CHUNK:
+            draws = np.empty((n, c))
+            active = np.empty((n, c), dtype=bool)
+        rng.random(out=draws)
+        np.less(draws, radio.aloha, out=active)
+        rng.standard_gamma(radio.m, out=draws)
+        flat = np.flatnonzero(active)
+        node, slot = np.divmod(flat, c)
+        rx = decay[node] * (draws.take(flat) / radio.m)
+        total = np.bincount(slot, weights=rx, minlength=c)
+        above = rx / (total[slot] - rx + noise_ratio) >= radio.beta
+        captured = slot[above]
+        multi += int((np.bincount(captured, minlength=c) > 1).sum())
+        winners[done + captured] = node[above]
         done += c
     return winners, multi
 

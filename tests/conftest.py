@@ -2,9 +2,15 @@
 
 import math
 import os
+import sys
 
 # one BLAS thread, set before numpy loads: the seeded kriging results depend
-# on the pool size, and a multi-threaded pool stalls under a busy second CPU
+# on the pool size, and a multi-threaded pool stalls under a busy second CPU.
+# OpenBLAS reads the variable once, when numpy loads, so the pin holds only if
+# nothing imported numpy before this file or the caller set the pool itself;
+# tests/test_simkit.py checks both flags
+NUMPY_LOADED_BEFORE_PIN = "numpy" in sys.modules
+BLAS_POOL_SET_BY_CALLER = "OPENBLAS_NUM_THREADS" in os.environ
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -49,6 +49,15 @@ def test_geometry_slant():
     assert geom.mean_nodes == pytest.approx(0.1 * math.pi * 400.0)
 
 
+@pytest.mark.parametrize("field, value", [("radius", math.nan), ("radius", math.inf),
+                                          ("altitude", math.nan), ("altitude", -1.0),
+                                          ("density", math.nan), ("density", math.inf)])
+def test_geometry_rejects_values_outside_the_model(field, value):
+    # NaN fails no `<= 0` check, so the bounds are written as ranges it fails
+    with pytest.raises(ValueError):
+        HoverGeometry(**{"radius": 20.0, "altitude": 20.0, "density": 0.1, field: value})
+
+
 def test_laplace_at_zero_is_one(geom20, radio):
     assert laplace_interference(0.0, geom20, radio) == pytest.approx(1.0, rel=1e-12)
 

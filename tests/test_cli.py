@@ -196,12 +196,16 @@ def test_sweep_area_honours_paper_literal_kinematics(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["side_m = -5", "warp_factor = 9", "nakagami_m = 1.5",
-                                  "side_m = wide", "beamwidth_deg = 200"])
-def test_config_errors_exit_as_usage_errors(tmp_path, line):
+                                  "side_m = wide", "beamwidth_deg = 200",
+                                  # NaN passes every `<= 0` check, inf plans a mission
+                                  "side_m = nan", "density_per_m2 = nan", "zeta = nan",
+                                  "speed_mps = inf", "depots = 50,nan"])
+def test_config_errors_exit_as_usage_errors(tmp_path, line, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     code = run(["plan", "--config", str(cfg), "--m-max", "1", "--out", str(tmp_path)])
     assert code == cli.EXIT_INFEASIBLE
+    assert "usage error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [["plan", "--m-min", "0", "--m-max", "0"],
@@ -243,8 +247,27 @@ def test_crash_keeps_crash_exit_code(tmp_path, monkeypatch):
 
 
 def test_simulate_rejects_zero_replications(tmp_path):
-    with pytest.raises(SystemExit):
-        run(["simulate", "--replications", "0", "--out", str(tmp_path)])
+    assert run(["simulate", "--replications", "0", "--out", str(tmp_path)]) == cli.EXIT_INFEASIBLE
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--slots", "0"],
+    ["simulate", "--radius", "nan"],
+    ["simulate", "--radius", "-5"],
+    ["simulate", "--radius", "inf"],
+    ["simulate", "--probe-radius", "0"],
+    ["simulate", "--probe-radius", "nan"],
+    ["sweep", "--axis", "a", "--grid", "0.01:0.1:0"],
+    ["sweep", "--axis", "a", "--grid", "0.01:0.1"],
+    ["sweep", "--axis", "a", "--grid", "0.01:nan:3"],
+    ["sweep", "--axis", "a", "--grid", "0.01:0.1:3", "--radius", "nan"],
+    ["sweep", "--axis", "a", "--grid", "0.01:0.1:3", "--with-mc", "--slots", "0"],
+])
+def test_bad_simulate_and_sweep_arguments_exit_as_usage_errors(tmp_path, capsys, args):
+    code = run([*args, "--out", str(tmp_path), "--label", "bad"])
+    assert code == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / args[0] / "bad").exists()
 
 
 def test_fit_alpha_outputs(tmp_path):
