@@ -109,9 +109,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def cmd_coverage_table(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    table = NormalizedCoverageTable(seed=cfg.seed, restarts=cfg.restarts)
-    if args.extend and Path(args.extend).exists():
+    if args.extend is None:
+        table = NormalizedCoverageTable(seed=cfg.seed, restarts=cfg.restarts)
+    elif Path(args.extend).is_file():
         table = NormalizedCoverageTable.load(args.extend)
+    else:
+        # building from scratch instead could start a covering solve of minutes
+        raise ConfigError(f"--extend {args.extend!r} is not a table file")
     table.ensure(args.m_max)
     out = _out_dir(cfg, "coverage-table")
     table.save(out / "table.csv")
@@ -173,6 +177,18 @@ def _sweep_grid(spec: str) -> np.ndarray:
     return grid
 
 
+def _check_grid(cfg: RunConfig, axis: str, grid: np.ndarray) -> None:
+    """Raise :class:`ConfigError` for a grid value outside the model."""
+    for value in grid.tolist():
+        if axis in ("beta", "a"):
+            try:
+                cfg.with_(**{"beta" if axis == "beta" else "aloha": value}).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"--grid value {value!r}: {exc}") from exc
+        else:
+            _check_positive(grid=value)
+
+
 def _sweep_beta(cfg, geom, value):
     link = cfg.radio().with_(beta=value)
     if cfg.aloha is None:
@@ -228,6 +244,7 @@ _SWEEP_AXES = {
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     grid = _sweep_grid(args.grid)
+    _check_grid(cfg, args.axis, grid)
     _check_positive(radius=args.radius)
     if args.with_mc:
         _check_positive(slots=args.slots, replications=args.replications)

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, special
 
 from .channel import (
     HoverGeometry,
@@ -90,6 +89,9 @@ def _matern(spec: CovarianceSpec, d: np.ndarray) -> np.ndarray:
     any other smoothness goes through the modified Bessel function.
     """
     if spec.nu not in (0.5, 1.5, 2.5):
+        # SciPy loads here and in krige only, so planning never pays its import
+        from scipy import special
+
         x = d / spec.b
         with np.errstate(invalid="ignore"):
             val = (
@@ -174,6 +176,8 @@ def krige(obs: ObservationSet, targets, spec: CovarianceSpec) -> tuple[np.ndarra
     sigma_oo = covariance_matrix(spec, obs.locations)
     sigma_oo[np.diag_indices_from(sigma_oo)] += JITTER_FACTOR * spec.sigma2
     sigma_to = covariance_matrix(spec, targets, obs.locations)
+    from scipy import linalg
+
     try:
         factor = linalg.cho_factor(sigma_oo, lower=True)
     except linalg.LinAlgError as exc:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,12 +266,63 @@ def test_simulate_rejects_zero_replications(tmp_path):
     ["sweep", "--axis", "a", "--grid", "0.01:nan:3"],
     ["sweep", "--axis", "a", "--grid", "0.01:0.1:3", "--radius", "nan"],
     ["sweep", "--axis", "a", "--grid", "0.01:0.1:3", "--with-mc", "--slots", "0"],
+    ["sweep", "--axis", "beta", "--grid", "0.5:2:3"],
+    ["sweep", "--axis", "a", "--grid", "0.5:1.5:3"],
+    ["sweep", "--axis", "R", "--grid=-5:10:2"],
+    ["sweep", "--axis", "R_mse", "--grid=-5:10:2"],
+    ["sweep", "--axis", "area", "--grid=-5:10:2"],
+    ["coverage-table", "--m-max", "3", "--extend", "absent_table.csv"],
 ])
 def test_bad_simulate_and_sweep_arguments_exit_as_usage_errors(tmp_path, capsys, args):
     code = run([*args, "--out", str(tmp_path), "--label", "bad"])
     assert code == cli.EXIT_INFEASIBLE
     assert capsys.readouterr().err.startswith("usage error:")
     assert not (tmp_path / args[0] / "bad").exists()
+
+
+# Runs in a fresh interpreter: the test session itself has SciPy loaded
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from fieldhopper import cli
+from fieldhopper.field import CovarianceSpec, ObservationSet, covariance, krige
+
+out = ["--out", sys.argv[1]]
+codes = [cli.main(args + out) for args in (
+    ["plan", "--m-min", "2", "--m-max", "2"],
+    ["plan", "--mission", "estimation", "--m-min", "2", "--m-max", "2"],
+    ["plan", "-K", "2", "--m-min", "3", "--m-max", "3"],
+    ["simulate", "--slots", "200", "--replications", "2"],
+    ["sweep", "--axis", "beta", "--grid", "1:2:2"],
+    ["fit-alpha", "--m-max", "3"],
+    ["coverage-table", "--m-max", "3", "--restarts", "4"],
+)]
+after_cli = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+obs = ObservationSet([[0.0, 0.0], [10.0, 0.0]], [0.3, -0.2])
+estimates, mse = krige(obs, [[5.0, 0.0]], CovarianceSpec(1.0, 0.5, 75.0))
+after_krige = ("scipy.linalg" in sys.modules, "scipy.special" in sys.modules)
+bessel = covariance(CovarianceSpec(1.0, 0.8, 75.0), 10.0)
+print(json.dumps({
+    "codes": codes, "after_cli": after_cli, "after_krige": after_krige,
+    "krige": [float(estimates[0]), float(mse[0])],
+    "bessel": bessel, "special_loaded": "scipy.special" in sys.modules,
+}))
+"""
+
+
+def test_cli_commands_never_load_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    # a two-replication simulate runs to its verdict, which may be a mismatch
+    assert got["codes"][3] in (cli.EXIT_OK, cli.EXIT_MISMATCH)
+    assert got["codes"][:3] + got["codes"][4:] == [cli.EXIT_OK] * 6
+    assert got["after_cli"] == []
+    # kriging loads scipy.linalg, and the Bessel branch scipy.special, on first use
+    assert got["after_krige"] == [True, False]
+    assert got["special_loaded"]
+    assert math.isfinite(got["krige"][0]) and 0.0 < got["krige"][1] < 1.0
+    assert 0.0 < got["bessel"] < 1.0
 
 
 def test_fit_alpha_outputs(tmp_path):

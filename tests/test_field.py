@@ -9,6 +9,7 @@ from scipy import special
 from fieldhopper.channel import edge_success_probability, theta_lens
 from fieldhopper.field import (
     CovarianceSpec,
+    DegenerateObservations,
     EstimationInfeasible,
     MseBudget,
     ObservationSet,
@@ -278,6 +279,18 @@ def test_krige_three_point_line_against_direct_solve():
     est, mse = krige(ObservationSet(locs, vals), target, spec)
     assert est[0] == pytest.approx(want_est, rel=1e-6)
     assert mse[0] == pytest.approx(want_mse, rel=1e-5)
+
+
+def test_krige_reports_failed_factorization_as_degenerate(cov75, monkeypatch):
+    from scipy import linalg
+
+    def fail(*args, **kwargs):
+        raise linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(linalg, "cho_factor", fail)
+    obs = ObservationSet([[0.0, 0.0], [10.0, 0.0]], [0.3, -0.2])
+    with pytest.raises(DegenerateObservations, match="not positive definite"):
+        krige(obs, [[5.0, 0.0]], cov75)
 
 
 def test_krige_mse_never_increases_with_observations(cov75, rng):
