@@ -11,12 +11,15 @@ exponential recurrence (no finite differences).
 The capture probabilities integrate a per-transmitter kernel over the disk.
 Its interference integrals depend on the link only through (m, eta, beta), so
 the kernel reads them from a Chebyshev interpolant in slant range, built once
-per geometry and link and cached; the public Laplace functions integrate them
-directly with the fixed Gauss rule of :mod:`fieldhopper.quadrature` (two
-64-point panels on [h, d], checked against one).  The disk capture
-probability sums the kernel on fixed nodes whose interference values are
-cached per link too, so a transmit-probability trial costs one exponential
-per node.
+per geometry and link and cached, whose basis polynomials come from the
+product recurrence T_{n+j} = 2 T_n T_j - T_{n-j} rather than from cosines;
+the public Laplace functions integrate them directly with the fixed Gauss
+rule of :mod:`fieldhopper.quadrature` (two 64-point panels on [h, d],
+checked against one).  The disk capture probability sums the kernel on
+fixed nodes whose interference values are cached per link too, so a
+transmit-probability trial costs one exponential per node.  The edge-lens
+capture probability evaluates the kernel on the lens nodes, and on the
+full-angle core nodes only when a probe disk reaches past the disk center.
 """
 
 from __future__ import annotations
@@ -252,12 +255,39 @@ def _interference_lookup(
     h, d = geom.altitude, geom.slant
     coef = _interference_coefficients(geom, m, eta, beta)
     s = m * beta * r**eta
-    # T_k(x) = cos(k acos x), summed in a fixed order per point (no BLAS),
-    # so a point's value does not depend on the shape of ``r``
-    angle = np.arccos(np.clip((2.0 * r - (d + h)) / (d - h), -1.0, 1.0))
-    basis = angle[..., None] * np.arange(len(coef))
-    scaled = np.einsum("...k,kj->...j", np.cos(basis, out=basis), coef)
-    return s, [scaled[..., j] / s**j for j in range(m)]
+    # V_k = 2 T_k(x) by the product rule T_{n+j} = 2 T_n T_j - T_{n-j}, which
+    # for V reads V_{n+j} = V_n V_j - V_{n-j}: each vectorised step doubles
+    # the known degrees, with no trigonometry, over whole degree rows.
+    # Scaling by 2 is exact, so (c_k / 2) V_k is c_k T_k bit for bit.  The
+    # terms are then added pairwise over the degrees, elementwise and with
+    # the same tree for every point (no BLAS), so a point's value does not
+    # depend on the shape of ``r``
+    x = np.minimum(np.maximum((2.0 * r - (d + h)) / (d - h), -1.0), 1.0).ravel()
+    top = len(coef) - 1
+    twice = np.empty((top + 1, x.size))
+    twice[0] = 2.0
+    np.add(x, x, out=twice[1])
+    n = 1
+    while n < top:
+        width = min(n, top - n)
+        block = twice[n + 1 : n + width + 1]
+        np.multiply(twice[1 : width + 1], twice[n], out=block)
+        block -= twice[n - width : n][::-1]
+        n += width
+    half_coef = 0.5 * coef
+    q = []
+    for j in range(m):
+        terms = twice if j == m - 1 else twice.copy()  # the last column reuses the basis
+        terms *= half_coef[:, j, None]
+        n = top + 1
+        while n > 1:
+            half = (n + 1) // 2
+            terms[: n - half] += terms[half:n]
+            n = half
+        total = terms[0].reshape(r.shape)
+        # a copy at j = 0, so that no cached result holds on to the basis
+        q.append(total / s**j if j else total.copy())
+    return s, q
 
 
 def _kernel_from_q(
@@ -363,10 +393,12 @@ def edge_success_probability(geom: HoverGeometry, radio: RadioSpec, r_mse):
     w dw) with fixed 64-point Gauss rules: on the lens segment
     [|R - r_mse|, R], where the lens angle has a square-root endpoint, in
     u with w = lo + (R - lo) u^2, and on the full-angle core [0, r_mse - R]
-    when the probe disk reaches past the center.
+    when the probe disk reaches past the center.  The core nodes are
+    evaluated only when some probe radius of the call exceeds R; a probe
+    that stops short of the center gives its core nodes weight 0.
     """
     r_arr = np.asarray(r_mse, dtype=float)
-    if np.any(r_arr <= 0):
+    if not np.all(r_arr > 0):
         raise ValueError("probe radius must be positive")
     if radio.aloha == 0.0 or geom.density == 0.0:
         return 0.0 if r_arr.ndim == 0 else np.zeros(r_arr.shape)
@@ -376,12 +408,13 @@ def edge_success_probability(geom: HoverGeometry, radio: RadioSpec, r_mse):
     core = np.clip(probe - cover, 0.0, cover)
     u, u_weight = quadrature.UNIT_NODES, quadrature.UNIT_WEIGHTS
     near = (cover - lo) * u**2  # w - lo, free of cancellation
-    w_lens = lo + near
-    theta = _lens_angle(w_lens, near, cover, probe)
-    w = np.concatenate([w_lens, core * u], axis=1)
-    weight = np.concatenate(
-        [theta * 2.0 * (cover - lo) * u * u_weight, 2.0 * math.pi * core * u_weight], axis=1
-    )
+    w = lo + near
+    weight = _lens_angle(w, near, cover, probe) * 2.0 * (cover - lo) * u * u_weight
+    if np.any(core > 0):
+        # a core node of a probe that stops short of the center has weight
+        # exactly 0, so leaving the block out changes no row sum
+        w = np.concatenate([w, core * u], axis=1)
+        weight = np.concatenate([weight, 2.0 * math.pi * core * u_weight], axis=1)
     kernel = _capture_kernel(np.sqrt(w**2 + h**2), geom, radio)
     p = radio.aloha * geom.density * np.sum(kernel * w * weight, axis=1)
     p = np.clip(p, 0.0, 1.0)

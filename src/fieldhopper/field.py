@@ -258,7 +258,7 @@ def area_ratio_rho(cover_radius: float, r_mse):
     may be a scalar or an array.
     """
     r = np.asarray(r_mse, dtype=float)
-    if cover_radius <= 0 or np.any(r <= 0):
+    if not cover_radius > 0 or not np.all(r > 0):
         raise ValueError("radii must be positive")
     t = r / (2.0 * cover_radius)
     s = np.minimum(t, 1.0)

@@ -164,7 +164,10 @@ def _simulate_batch(
             active = np.empty((n, c), dtype=bool)
         rng.random(out=draws)
         np.less(draws, radio.aloha, out=active)
-        rng.standard_gamma(radio.m, out=draws)
+        if radio.m == 1:
+            rng.standard_exponential(out=draws)  # what Gamma(1) draws, faster
+        else:
+            rng.standard_gamma(radio.m, out=draws)
         flat = np.flatnonzero(active)
         node, slot = np.divmod(flat, c)
         rx = decay[node] * (draws.take(flat) / radio.m)

@@ -24,6 +24,7 @@ from fieldhopper.channel import (
     success_probability,
     theta_lens,
 )
+from fieldhopper.field import PROBE_GRID, optimal_slots_estimation, probe_radius_limit
 
 from conftest import REFERENCE_RTOL, reference_lens_quad, reference_quad
 
@@ -233,6 +234,10 @@ def test_edge_success_limits(geom20, radio):
     assert tiny < 1e-4
     with pytest.raises(ValueError):
         edge_success_probability(geom20, radio, 0.0)
+    with pytest.raises(ValueError):
+        edge_success_probability(geom20, radio, math.nan)
+    with pytest.raises(ValueError):
+        edge_success_probability(geom20, radio, np.array([5.0, math.nan]))
 
 
 def test_edge_success_bounded_by_total(geom20, radio):
@@ -357,6 +362,102 @@ def test_edge_array_matches_scalar_calls(geom20, radio):
     assert np.all(edge_success_probability(geom20, radio.with_(aloha=0.0), probes) == 0.0)
     with pytest.raises(ValueError):
         edge_success_probability(geom20, radio, np.array([5.0, -1.0]))
+
+
+def cosine_lookup(r, geom, m, eta, beta):
+    """[Q_0, ..., Q_0^(m-1)] at slant range r from the cached coefficients with
+    T_k(x) = cos(k acos x), and the scale sum_k |c_k T_k(x)| / s^j of each column,
+    the size of the rounding any evaluation order of the series makes."""
+    h, d = geom.altitude, geom.slant
+    coef = channel._interference_coefficients(geom, m, eta, beta)
+    s = m * beta * r**eta
+    angle = np.arccos(np.clip((2.0 * r - (d + h)) / (d - h), -1.0, 1.0))
+    basis = np.cos(angle[:, None] * np.arange(len(coef)))
+    values = [np.sum(basis * coef[:, j], axis=1) / s**j for j in range(m)]
+    scales = [np.sum(np.abs(basis * coef[:, j]), axis=1) / s**j for j in range(m)]
+    return values, scales
+
+
+@pytest.mark.parametrize("degree", channel._CHEB_DEGREES)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_recurrence_basis_matches_cosine_sum(radio, monkeypatch, degree, m):
+    # every geometry whose interpolant is resolved at or below ``degree``,
+    # rebuilt at exactly that degree; both ends r = h and r = d included
+    checked = 0
+    for cover, altitude in GEOMETRIES:
+        geom = HoverGeometry(cover, altitude, 0.1)
+        for beta in (1.0, 1.8, 20.0):
+            if len(channel._interference_coefficients(geom, m, radio.eta, beta)) - 1 > degree:
+                continue
+            r = np.linspace(geom.altitude, geom.slant, 101)
+            with monkeypatch.context() as patch:
+                patch.setattr(channel, "_CHEB_DEGREES", (degree,))
+                channel._interference_coefficients.cache_clear()
+                try:
+                    assert len(channel._interference_coefficients(geom, m, radio.eta, beta)) == degree + 1
+                    want, scale = cosine_lookup(r, geom, m, radio.eta, beta)
+                    s, got = channel._interference_lookup(r, geom, m, radio.eta, beta)
+                finally:
+                    channel._interference_coefficients.cache_clear()
+            assert np.array_equal(s, m * beta * r**radio.eta)
+            for j in range(m):
+                # relative where the series does not cancel; where it does (the
+                # 170-degree beam at beta = 20), relative to the terms it adds
+                assert np.all(np.abs(got[j] - want[j]) <= 1e-14 * scale[j])
+            checked += 1
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("cover,altitude", [GEOMETRIES[0], GEOMETRIES[3]])
+def test_lookup_value_does_not_depend_on_array_shape(radio, m, cover, altitude):
+    geom = HoverGeometry(cover, altitude, 0.1)
+    r = np.linspace(geom.altitude, geom.slant, 512)
+    s, flat = channel._interference_lookup(r, geom, m, radio.eta, radio.beta)
+    s_grid, grid = channel._interference_lookup(r.reshape(8, 64), geom, m, radio.eta, radio.beta)
+    assert np.array_equal(s_grid.ravel(), s)
+    for j in range(m):
+        assert grid[j].shape == (8, 64)
+        assert np.array_equal(grid[j].ravel(), flat[j])
+    for i in range(len(r)):
+        _, single = channel._interference_lookup(r[i : i + 1], geom, m, radio.eta, radio.beta)
+        assert [q[0] for q in single] == [q[i] for q in flat]
+
+
+def record_kernel_shapes(monkeypatch):
+    shapes = []
+    kernel = channel._capture_kernel
+
+    def recording(r, geom, radio):
+        shapes.append(r.shape)
+        return kernel(r, geom, radio)
+
+    monkeypatch.setattr(channel, "_capture_kernel", recording)
+    return shapes
+
+
+def test_probe_search_short_of_center_sends_only_lens_nodes(geom20, radio, cov75, monkeypatch):
+    # the probe-radius limit 0.5 b ln(1/0.8) = 8.37 m stays short of the 20 m
+    # disk center, so no core node would carry weight
+    assert probe_radius_limit(cov75, 0.2) < geom20.radius
+    shapes = record_kernel_shapes(monkeypatch)
+    optimal_slots_estimation(geom20, radio, cov75, 0.2)
+    assert shapes[0] == (PROBE_GRID, 64)
+    assert len(shapes) > 1 and set(shapes[1:]) == {(1, 64)}
+
+
+def test_probe_search_past_center_runs_the_core_rule(radio, cov75, monkeypatch):
+    geom = HoverGeometry(5.0, 5.0, 0.1)
+    upper = probe_radius_limit(cov75, 0.2)
+    assert upper > geom.radius
+    shapes = record_kernel_shapes(monkeypatch)
+    optimal_slots_estimation(geom, radio, cov75, 0.2)
+    assert shapes[0] == (PROBE_GRID, 128)
+    radii = upper * (np.arange(1, PROBE_GRID + 1) - 0.5) / PROBE_GRID
+    got = edge_success_probability(geom, radio, radii)
+    assert shapes[-1] == (PROBE_GRID, 128)
+    for idx in (0, 20, 40, 63):  # below and above R, up to the limit
+        assert got[idx] == pytest.approx(edge_reference(geom, radio, radii[idx]), rel=1e-12, abs=0.0)
 
 
 def test_one_interpolant_serves_every_aloha(radio):

@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldhopper import cli, covering
+from fieldhopper import cli, covering, simkit
 from fieldhopper.channel import HoverGeometry, success_probability
 from fieldhopper.config import ConfigError, RunConfig, load_config
 from fieldhopper.mission import FieldSpec, plan_aggregation
+
+from test_simkit import _simulate_batch_dense
 
 
 def run(args):
@@ -108,6 +110,20 @@ def test_simulate_pass_and_replay(tmp_path):
     assert json.loads(first)["verdict"] == "PASS"
     assert run(args) == 0
     assert stats.read_bytes() == first
+
+
+def test_simulate_stats_at_unit_shape_match_gamma_draws(tmp_path, monkeypatch):
+    # the default link is Rayleigh (m = 1): stats.json must be what the
+    # Gamma(1) draws of the dense reference simulator give, byte for byte
+    args = ["simulate", "--slots", "300", "--replications", "8", "--seed", "23",
+            "--out", str(tmp_path), "--label", "m1"]
+    stats = tmp_path / "simulate" / "m1" / "stats.json"
+    run(args)
+    got = stats.read_bytes()
+    assert json.loads(got)["config"]["nakagami_m"] == 1
+    monkeypatch.setattr(simkit, "_simulate_batch", _simulate_batch_dense)
+    run(args)
+    assert stats.read_bytes() == got
 
 
 def test_simulate_uses_beamwidth_altitude(tmp_path):

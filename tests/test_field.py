@@ -421,6 +421,12 @@ def test_rho_array_matches_scalar_calls():
     assert all(got[i] == area_ratio_rho(20.0, float(r)) for i, r in enumerate(probes))
     with pytest.raises(ValueError):
         area_ratio_rho(20.0, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        area_ratio_rho(20.0, np.array([1.0, math.nan]))
+    with pytest.raises(ValueError):
+        area_ratio_rho(20.0, math.nan)
+    with pytest.raises(ValueError):
+        area_ratio_rho(math.nan, 10.0)
 
 
 def test_rho_rejection_sampling_oracle():
@@ -490,6 +496,12 @@ def test_estimation_slots_array_matches_scalar_calls(geom20, radio, cov75):
     for i, r in enumerate(radii):
         assert got[i] == estimation_slots(float(r), geom20, radio, cov75, 0.2)
     assert math.isinf(got[-1])  # the target is unreachable at the admissible limit
+
+
+def test_nan_probe_radius_is_rejected_not_priced_infeasible(geom20, radio, cov75):
+    for radius in (math.nan, np.array([5.0, math.nan])):
+        with pytest.raises(ValueError):
+            estimation_slots(radius, geom20, radio, cov75, 0.2)
 
 
 def test_slot_count_meets_edge_mse_target_exactly(geom20, radio, cov75):
