@@ -13,8 +13,6 @@ from .channel import (
     RadioSpec,
     edge_success_probability,
     hover_time_aggregation,
-    laplace_derivative,
-    laplace_interference,
     optimal_aloha,
     optimal_beta,
     slot_duration,

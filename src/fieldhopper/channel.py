@@ -12,9 +12,9 @@ The capture probabilities integrate a per-transmitter kernel over the disk.
 Its interference integrals depend on the link only through (m, eta, beta), so
 the kernel reads them from a Chebyshev interpolant in slant range, built once
 per geometry and link and cached, whose basis polynomials come from the
-product recurrence T_{n+j} = 2 T_n T_j - T_{n-j} rather than from cosines;
-the public Laplace functions integrate them directly with the fixed Gauss
-rule of :mod:`fieldhopper.quadrature` (two 64-point panels on [h, d],
+product recurrence T_{n+j} = 2 T_n T_j - T_{n-j} rather than from cosines.
+The interpolant is built from interference integrals taken with the fixed
+Gauss rule of :mod:`fieldhopper.quadrature` (two 64-point panels on [h, d],
 checked against one).  The disk capture probability sums the kernel on
 fixed nodes whose interference values are cached per link too, so a
 transmit-probability trial costs one exponential per node.  The edge-lens
@@ -39,8 +39,6 @@ from .search import golden_max
 __all__ = [
     "RadioSpec",
     "HoverGeometry",
-    "laplace_interference",
-    "laplace_derivative",
     "success_probability",
     "edge_success_probability",
     "theta_lens",
@@ -166,37 +164,6 @@ def _laplace_from_q(
             acc = acc + math.comb(k - 1, j) * g[k - j] * ell[j]
         ell.append(acc)
     return ell
-
-
-def _laplace_derivatives(
-    s: np.ndarray, geom: HoverGeometry, radio: RadioSpec, max_order: int
-) -> list[np.ndarray]:
-    """[L, L', ..., L^(max_order)] with every Q_0^(j) integrated at ``s``."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    q = [_q_derivative(j, s, geom, radio.m, radio.eta) for j in range(max_order + 1)]
-    return _laplace_from_q(s, q, geom, radio)
-
-
-def laplace_interference(s, geom: HoverGeometry, radio: RadioSpec):
-    """Laplace transform of normalized interference-plus-noise at ``s`` >= 0."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s_arr < 0):
-        raise ValueError("s must be non-negative")
-    value = _laplace_derivatives(s_arr, geom, radio, 0)[0]
-    return float(value[0]) if np.isscalar(s) or np.ndim(s) == 0 else value
-
-
-def laplace_derivative(k: int, s, geom: HoverGeometry, radio: RadioSpec):
-    """Exact k-th derivative of the interference Laplace transform.
-
-    Only orders up to m-1 are meaningful for the capture expressions, so
-    k >= m is rejected.
-    """
-    if k < 0 or k >= radio.m:
-        raise ValueError(f"derivative order must satisfy 0 <= k <= m-1, got {k}")
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    value = _laplace_derivatives(s_arr, geom, radio, k)[k]
-    return float(value[0]) if np.isscalar(s) or np.ndim(s) == 0 else value
 
 
 # ---------------------------------------------------------------------------

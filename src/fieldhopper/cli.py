@@ -12,6 +12,11 @@ All outputs land under ``<out>/<command>/<label>/``; the label defaults to a
 digest of the configuration, so re-running identical inputs rewrites
 identical bytes.  Exit codes: 0 success, 2 infeasible plan (or usage error),
 3 Monte Carlo validation mismatch, 1 crash.
+
+``plan``, ``sweep`` and ``fit-alpha`` read the packaged covering table
+unless ``--table`` (or the ``table`` config key) names another file.  They
+never solve a covering: a table path that is not a file, or an M past the
+table's last row, is a usage error, and only ``coverage-table`` builds rows.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import functools
 import json
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +38,7 @@ from .channel import (
     success_probability,
 )
 from .config import ConfigError, RunConfig, load_config
-from .covering import NormalizedCoverageTable, fit_alpha
+from .covering import MissingRowError, NormalizedCoverageTable, fit_alpha
 from .field import EstimationInfeasible
 from .mission import FieldSpec, plan_aggregation, plan_estimation
 from .simkit import SimConfig, estimate_success_probability
@@ -45,15 +49,18 @@ EXIT_INFEASIBLE = 2
 EXIT_MISMATCH = 3
 
 
-def packaged_table_path() -> Path:
-    return Path(resources.files("fieldhopper.data") / "coverage_table_v1.csv")
+def _read_table(path: str, option: str) -> NormalizedCoverageTable:
+    if not Path(path).is_file():
+        # building the rows instead could start a covering solve of minutes
+        raise ConfigError(f"{option} {path!r} is not a table file")
+    return NormalizedCoverageTable.load(path)
 
 
 def load_table(cfg: RunConfig) -> NormalizedCoverageTable:
-    path = Path(cfg.table_path) if cfg.table_path else packaged_table_path()
-    if path.exists():
-        return NormalizedCoverageTable.load(path)
-    return NormalizedCoverageTable(seed=cfg.seed, restarts=cfg.restarts)
+    """The covering table a run plans from: ``cfg.table_path``, else the packaged one."""
+    if cfg.table_path:
+        return _read_table(cfg.table_path, "table")
+    return NormalizedCoverageTable.packaged()
 
 
 def _out_dir(cfg: RunConfig, command: str) -> Path:
@@ -111,11 +118,8 @@ def cmd_coverage_table(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if args.extend is None:
         table = NormalizedCoverageTable(seed=cfg.seed, restarts=cfg.restarts)
-    elif Path(args.extend).is_file():
-        table = NormalizedCoverageTable.load(args.extend)
     else:
-        # building from scratch instead could start a covering solve of minutes
-        raise ConfigError(f"--extend {args.extend!r} is not a table file")
+        table = _read_table(args.extend, "--extend")
     table.ensure(args.m_max)
     out = _out_dir(cfg, "coverage-table")
     table.save(out / "table.csv")
@@ -251,7 +255,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     geom = HoverGeometry(args.radius, cfg.drone().altitude_for_radius(args.radius), cfg.density)
     sweep = _SWEEP_AXES[args.axis]
     if args.axis == "area":
-        # one table for every side, so a missing table file is built once
+        # one table for every side, read before the first side is planned
         sweep = functools.partial(sweep, table=load_table(cfg))
     rows = []
     for i, value in enumerate(grid):
@@ -321,7 +325,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_fit_alpha(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     table = load_table(cfg)
-    table.ensure(args.m_max)
     fit = fit_alpha(table)
     out = _out_dir(cfg, "fit-alpha")
     (out / "fit.json").write_text(
@@ -349,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output root directory")
         p.add_argument("--label", help="output subdirectory name (default: config digest)")
-        p.add_argument("--table", help="coverage table CSV (default: packaged)")
 
     p = sub.add_parser("coverage-table", help="build the normalized covering table")
     add_common(p)
@@ -360,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="plan a mission")
     add_common(p)
+    p.add_argument("--table", help="coverage table CSV (default: packaged)")
     p.add_argument("--mission", choices=("aggregation", "estimation"), default=None)
     p.add_argument("--zeta", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
@@ -373,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one parameter")
     add_common(p)
+    p.add_argument("--table", help="coverage table CSV (default: packaged)")
     p.add_argument("--axis", choices=tuple(_SWEEP_AXES), required=True)
     p.add_argument("--grid", required=True, help="lo:hi:n")
     p.add_argument("--radius", type=float, default=20.0, help="hover radius for link sweeps")
@@ -392,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-alpha", help="fit sqrt(c*M)+d to the table")
     add_common(p)
-    p.add_argument("--m-max", type=int, default=24)
+    p.add_argument("--table", help="coverage table CSV (default: packaged)")
     p.set_defaults(func=cmd_fit_alpha)
 
     return parser
@@ -405,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except EstimationInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ConfigError as exc:
+    except (ConfigError, MissingRowError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ValueError, OSError) as exc:

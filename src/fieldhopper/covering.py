@@ -11,13 +11,17 @@ pass clips the cells of every start for each relocation step.
 
 Results are always computed on the unit square and scaled, so plans for
 different field sizes are exactly similar.  A normalized table of covering
-radii and tour lengths is cached to CSV so planners never re-run the solver.
+radii and tour lengths is cached to CSV.  Planners only read its rows: the
+packaged table (M up to 24) is the default, and a row it lacks is an error,
+never a solve.  Only ``ensure`` (the ``coverage-table`` command) runs the
+solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +364,10 @@ class CoveragePlan:
     centers: np.ndarray
 
 
+class MissingRowError(LookupError):
+    """A plan asked for an M that its covering table has no row for."""
+
+
 @dataclass(frozen=True)
 class TableRow:
     m: int
@@ -428,12 +436,20 @@ class NormalizedCoverageTable:
         return TableRow(m=m, delta=delta, alpha=alpha, centers=_canonical(centers))
 
     def plan(self, m: int, area_side: float) -> CoveragePlan:
-        """Scale the cached unit layout to a square of side ``area_side``."""
+        """Scale the cached unit layout to a square of side ``area_side``.
+
+        Reads the table only: an M without a row raises
+        :class:`MissingRowError` instead of solving one.
+        """
         if m < 1:
             raise ValueError("m must be at least 1")
         if area_side <= 0:
             raise ValueError("area_side must be positive")
-        self.ensure(m)
+        if m not in self.rows:
+            raise MissingRowError(
+                f"the covering table has no row for M={m} (its largest M is {self.max_m});"
+                " add rows with `fieldhopper coverage-table --extend`"
+            )
         row = self.rows[m]
         return CoveragePlan(radius=row.delta * area_side, centers=row.centers * area_side)
 
@@ -448,6 +464,11 @@ class NormalizedCoverageTable:
             cells = ",".join(f"{float(x)!r};{float(y)!r}" for x, y in row.centers)
             lines.append(f"{m},{float(row.delta)!r},{float(row.alpha)!r},{cells}")
         path.write_text("\n".join(lines) + "\n")
+
+    @classmethod
+    def packaged(cls) -> "NormalizedCoverageTable":
+        """The table shipped with the package, M = 1..24: every planner's default."""
+        return cls.load(resources.files("fieldhopper.data") / "coverage_table_v1.csv")
 
     @classmethod
     def load(cls, path: str | Path) -> "NormalizedCoverageTable":

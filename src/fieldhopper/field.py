@@ -244,7 +244,7 @@ def no_success_probability(p_e_s: float, j: float, rho: float) -> float:
     """
     if not 0.0 <= p_e_s <= 1.0:
         raise ValueError("p_e_s must be a probability")
-    if j < 0 or not 0.0 < rho <= 1.0:
+    if not j >= 0 or not 0.0 < rho <= 1.0:
         raise ValueError("need j >= 0 and 0 < rho <= 1")
     return (1.0 - p_e_s) ** (j / rho)
 
@@ -293,6 +293,8 @@ def estimation_slots(
     delta for J; infinite where no slot count can reach the target.
     ``r_mse`` may be a scalar or an array of probe radii.
     """
+    if not 0.0 < delta < spec.sigma2:
+        raise ValueError("delta must lie in (0, sigma2)")
     r = np.asarray(r_mse, dtype=float)
     p_edge = np.asarray(edge_success_probability(geom, radio, r))
     target = 1.0 + (delta - spec.sigma2) * spec.sigma2 * np.exp(2.0 * r / spec.b)

@@ -229,9 +229,10 @@ def _plan(
 ) -> MissionReport:
     """The M sweep both missions share; they differ only in ``price(m, geom)``,
     which returns the record's link and hover fields, with ``feasible=False``
-    when the hover target cannot be met (travel is then not priced).
+    when the hover target cannot be met (travel is then not priced).  With no
+    ``table`` the layouts come from the packaged one.
     """
-    table = table if table is not None else NormalizedCoverageTable(seed=seed)
+    table = table if table is not None else NormalizedCoverageTable.packaged()
     if depots is None:
         depots = [(field.side / 2.0, field.side / 2.0)]
     depots_arr = np.atleast_2d(np.asarray(depots, dtype=float))

@@ -10,7 +10,7 @@ longest (cost-weighted) tour.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ class Tour:
     order: tuple[int, ...]
     hop_distances: tuple[float, ...]
     depot: tuple[float, float] | None = None
-    points: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def total_distance(self) -> float:
@@ -176,9 +175,9 @@ def solve_tsp(centers: np.ndarray, depot: Sequence[float]) -> Tour:
 
     if len(centers) == 1:
         if depot_is_center:
-            return Tour(order=(0,), hop_distances=(), depot=tuple(depot), points=centers)
+            return Tour(order=(0,), hop_distances=(), depot=tuple(depot))
         leg = float(d_to_centers[0])
-        return Tour(order=(0,), hop_distances=(leg, leg), depot=tuple(depot), points=centers)
+        return Tour(order=(0,), hop_distances=(leg, leg), depot=tuple(depot))
 
     if depot_is_center:
         nodes = np.vstack([centers[depot_idx], np.delete(centers, depot_idx, axis=0)])
@@ -190,14 +189,14 @@ def solve_tsp(centers: np.ndarray, depot: Sequence[float]) -> Tour:
             float(np.linalg.norm(pts[(i + 1) % len(pts)] - pts[i]))
             for i in range(len(pts))
         )
-        return Tour(order=order, hop_distances=hops, depot=tuple(depot), points=centers)
+        return Tour(order=order, hop_distances=hops, depot=tuple(depot))
 
     nodes = np.vstack([depot[None, :], centers])
     node_order, _ = _closed_tour(nodes)
     order = tuple(i - 1 for i in node_order[1:])
     pts = np.vstack([depot, centers[list(order)], depot])
     hops = tuple(float(np.linalg.norm(pts[i + 1] - pts[i])) for i in range(len(pts) - 1))
-    return Tour(order=order, hop_distances=hops, depot=tuple(depot), points=centers)
+    return Tour(order=order, hop_distances=hops, depot=tuple(depot))
 
 
 def _tour_cost(tour: Tour, stop_cost: float) -> float:
@@ -267,8 +266,7 @@ def solve_minmax_mdmtsp(
 
     def relabel(tour: Tour, members: np.ndarray) -> Tour:
         order = tuple(int(members[i]) for i in tour.order)
-        return Tour(order=order, hop_distances=tour.hop_distances,
-                    depot=tour.depot, points=centers)
+        return Tour(order=order, hop_distances=tour.hop_distances, depot=tour.depot)
 
     def moves(worst: int):
         """(other, new worst group, its tour, new other group) per trial:

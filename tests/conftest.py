@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fieldhopper import covering
 from fieldhopper.channel import HoverGeometry, RadioSpec
-from fieldhopper.cli import packaged_table_path
 from fieldhopper.covering import NormalizedCoverageTable
 from fieldhopper.field import CovarianceSpec
 from fieldhopper.kinematics import DroneSpec
@@ -76,7 +76,21 @@ def reference_lens_quad(f, cover, probe):
 
 @pytest.fixture(scope="session")
 def table() -> NormalizedCoverageTable:
-    return NormalizedCoverageTable.load(packaged_table_path())
+    return NormalizedCoverageTable.packaged()
+
+
+@pytest.fixture()
+def covering_solves(monkeypatch) -> list[int]:
+    """The M of every covering solve the test starts, in call order."""
+    solves = []
+    solve = covering.solve_unit_covering
+
+    def counted(m, *args, **kwargs):
+        solves.append(m)
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(covering, "solve_unit_covering", counted)
+    return solves
 
 
 @pytest.fixture()

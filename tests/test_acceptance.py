@@ -56,9 +56,7 @@ def drone2() -> DroneSpec:
 
 @pytest.fixture(scope="module")
 def shipped_table() -> NormalizedCoverageTable:
-    from fieldhopper.cli import packaged_table_path
-
-    return NormalizedCoverageTable.load(packaged_table_path())
+    return NormalizedCoverageTable.packaged()
 
 
 @pytest.fixture(scope="module")

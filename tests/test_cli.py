@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldhopper import cli, covering, simkit
+from fieldhopper import cli, simkit
 from fieldhopper.channel import HoverGeometry, success_probability
 from fieldhopper.config import ConfigError, RunConfig, load_config
 from fieldhopper.mission import FieldSpec, plan_aggregation
@@ -166,29 +166,16 @@ def test_sweep_area_plans_each_side(tmp_path):
         assert line == ",".join(repr(float(v)) for v in (side, best.m, best.total))
 
 
-def test_sweep_area_builds_a_missing_table_once(tmp_path, monkeypatch):
+def test_sweep_area_with_a_missing_table_exits_as_usage_error(tmp_path, capsys,
+                                                              covering_solves):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"m_max = 3\nrestarts = 4\ntable = {tmp_path / 'missing.csv'}\n")
-    solves = []
-    solve = covering.solve_unit_covering
-
-    def counted(m, *args, **kwargs):
-        solves.append(m)
-        return solve(m, *args, **kwargs)
-
-    monkeypatch.setattr(covering, "solve_unit_covering", counted)
+    cfg.write_text(f"table = {tmp_path / 'missing.csv'}\n")
     args = ["sweep", "--config", str(cfg), "--axis", "area", "--grid", "100:200:3",
             "--out", str(tmp_path), "--label", "area"]
-    assert run(args) == 0
-    assert sorted(solves) == [1, 2, 3]
-    lines = (tmp_path / "sweep" / "area" / "sweep.csv").read_text().splitlines()
-    conf = load_config(cfg)
-    for line, side in zip(lines[2:], (100.0, 150.0, 200.0), strict=True):
-        best = plan_aggregation(
-            FieldSpec(side=side, density=conf.density), conf.drone(), conf.radio(),
-            conf.zeta, m_range=range(1, 4), table=cli.load_table(conf), seed=conf.seed,
-        ).best
-        assert line == ",".join(repr(float(v)) for v in (side, best.m, best.total))
+    assert run(args) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert covering_solves == []
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_area_honours_paper_literal_kinematics(tmp_path):
@@ -288,12 +275,18 @@ def test_simulate_rejects_zero_replications(tmp_path):
     ["sweep", "--axis", "R_mse", "--grid=-5:10:2"],
     ["sweep", "--axis", "area", "--grid=-5:10:2"],
     ["coverage-table", "--m-max", "3", "--extend", "absent_table.csv"],
+    # a covering table the run cannot read is never solved in its place
+    ["plan", "--table", "absent_table.csv"],
+    ["fit-alpha", "--table", "absent_table.csv"],
+    ["plan", "--m-min", "25", "--m-max", "25"],  # past the packaged table's M = 24
 ])
-def test_bad_simulate_and_sweep_arguments_exit_as_usage_errors(tmp_path, capsys, args):
+def test_bad_simulate_and_sweep_arguments_exit_as_usage_errors(tmp_path, capsys,
+                                                               covering_solves, args):
     code = run([*args, "--out", str(tmp_path), "--label", "bad"])
     assert code == cli.EXIT_INFEASIBLE
     assert capsys.readouterr().err.startswith("usage error:")
     assert not (tmp_path / args[0] / "bad").exists()
+    assert covering_solves == []
 
 
 # Runs in a fresh interpreter: the test session itself has SciPy loaded
@@ -309,7 +302,7 @@ codes = [cli.main(args + out) for args in (
     ["plan", "-K", "2", "--m-min", "3", "--m-max", "3"],
     ["simulate", "--slots", "200", "--replications", "2"],
     ["sweep", "--axis", "beta", "--grid", "1:2:2"],
-    ["fit-alpha", "--m-max", "3"],
+    ["fit-alpha"],
     ["coverage-table", "--m-max", "3", "--restarts", "4"],
 )]
 after_cli = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")

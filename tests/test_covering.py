@@ -7,6 +7,7 @@ import pytest
 from fieldhopper.covering import (
     UNIT_SQUARE,
     AlphaFit,
+    MissingRowError,
     NormalizedCoverageTable,
     TableRow,
     _voronoi,
@@ -206,4 +207,8 @@ def test_solver_rejects_bad_input():
         table.plan(3, -1.0)
     with pytest.raises(ValueError):
         table.plan(3, 0.0)
-    assert table.rows == {}  # rejected before any row is solved
+    # a planner reads rows, it never solves one
+    missing = r"M=3 \(its largest M is 0\).*coverage-table --extend"
+    with pytest.raises(MissingRowError, match=missing):
+        table.plan(3, 1.0)
+    assert table.rows == {}

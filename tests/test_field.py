@@ -377,6 +377,8 @@ def test_no_success_probability_cases():
     assert no_success_probability(0.1, 10.0, 0.5) == pytest.approx(0.9**20)
     with pytest.raises(ValueError):
         no_success_probability(0.1, 5.0, 0.0)
+    with pytest.raises(ValueError):
+        no_success_probability(0.1, math.nan, 0.5)
 
 
 def test_rho_limits():
@@ -502,6 +504,9 @@ def test_nan_probe_radius_is_rejected_not_priced_infeasible(geom20, radio, cov75
     for radius in (math.nan, np.array([5.0, math.nan])):
         with pytest.raises(ValueError):
             estimation_slots(radius, geom20, radio, cov75, 0.2)
+    # a NaN target would price every radius infinite, that is infeasible
+    with pytest.raises(ValueError):
+        estimation_slots(5.0, geom20, radio, cov75, math.nan)
 
 
 def test_slot_count_meets_edge_mse_target_exactly(geom20, radio, cov75):

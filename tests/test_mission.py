@@ -10,6 +10,23 @@ from fieldhopper.mission import (
 from fieldhopper.tours import solve_minmax_mdmtsp, solve_tsp
 
 
+@pytest.mark.parametrize("mission", ["aggregation", "estimation"])
+def test_default_table_is_the_packaged_one(deployment, drone, radio, cov75, table,
+                                           covering_solves, mission):
+    if mission == "aggregation":
+        def plan(**kwargs):
+            return plan_aggregation(deployment, drone, radio, 250.0, **kwargs)
+    else:
+        def plan(**kwargs):
+            return plan_estimation(deployment, drone, radio, cov75, 0.2,
+                                   m_range=range(8, 11), **kwargs)
+    report = plan()
+    assert report.to_dict() == plan(table=table).to_dict()
+    assert covering_solves == []
+    if mission == "aggregation":  # the reference deployment's optimum
+        assert (report.best.m, round(report.best.total, 3)) == (6, 219.907)
+
+
 def test_zero_samples_reduces_to_travel(deployment, drone, radio, table):
     report = plan_aggregation(
         deployment, drone, radio, zeta=0.0, m_range=range(1, 8), table=table,

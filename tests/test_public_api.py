@@ -1,13 +1,19 @@
-"""The package's public surface and the names the benchmark tracer wraps.
+"""The package's public surface and what the benchmark reaches into.
 
 ``perfbench/layertrace.py`` rebinds library functions by module and name; a
 removed or renamed one makes every traced benchmark run fail to install, and
 the suite does not collect ``perfbench/``, so these tests pin the names here.
+The same holds for the set-up snippet ``perfbench/run.py`` times in a fresh
+interpreter.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fieldhopper
@@ -19,15 +25,15 @@ EXPORTS = {
     "SquareRegion", "Tour", "area_ratio_rho", "covariance", "cover_radius",
     "edge_mse_bound", "edge_success_probability", "estimate_plan_edge_mse",
     "estimate_success_probability", "fit_alpha", "hop_time", "hover_time_aggregation",
-    "krige", "laplace_derivative", "laplace_interference", "load_config",
-    "multi_uav_total", "no_success_probability", "optimal_aloha", "optimal_beta",
-    "optimal_slots_estimation", "plan_aggregation", "plan_estimation",
-    "sample_field", "sample_ppp", "slot_duration",
+    "krige", "load_config", "multi_uav_total", "no_success_probability",
+    "optimal_aloha", "optimal_beta", "optimal_slots_estimation", "plan_aggregation",
+    "plan_estimation", "sample_field", "sample_ppp", "slot_duration",
     "solve_minmax_mdmtsp", "solve_tsp", "success_probability", "travel_time",
     "travel_time_approx",
 }
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 
 
 def _layertrace():
@@ -57,3 +63,15 @@ def test_slot_counter_matches_the_batch_simulator_signature():
 
     params = list(inspect.signature(simkit._simulate_batch).parameters)
     assert params[:4] == ["slant", "radio", "rng", "slots"]
+
+
+def test_benchmark_setup_snippet_runs():
+    # read, not imported: perfbench/run.py pins BLAS variables when imported
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    code = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "SETUP_CODE" for t in node.targets))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
