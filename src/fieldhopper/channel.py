@@ -20,6 +20,12 @@ fixed nodes whose interference values are cached per link too, so a
 transmit-probability trial costs one exponential per node.  The edge-lens
 capture probability evaluates the kernel on the lens nodes, and on the
 full-angle core nodes only when a probe disk reaches past the disk center.
+
+The link is picked in one place, :func:`tuned_link`: a given threshold or
+transmit probability is applied as it is, and a free one is tuned, the
+transmit probability by :func:`optimal_aloha` and the threshold by
+:func:`optimal_beta`.  ``RadioSpec``'s defaults (beta 1.8, ALOHA 0.01) are
+the placeholder link that stands in for a free value.
 """
 
 from __future__ import annotations
@@ -45,11 +51,13 @@ __all__ = [
     "optimal_aloha",
     "optimal_beta",
     "OptimalBeta",
+    "tuned_link",
     "slot_duration",
     "hover_time_aggregation",
 ]
 
 BETA_MAX = 20.0  # upper end of every SINR-threshold search; the lower end is 1
+BETA_TOL = 1e-3  # log-beta tolerance of the SINR-threshold search
 
 
 @dataclass(frozen=True)
@@ -417,7 +425,6 @@ def optimal_beta(
     geom: HoverGeometry,
     radio: RadioSpec,
     optimize_a: bool = True,
-    tol: float = 1e-3,
 ) -> OptimalBeta:
     """SINR threshold minimizing hover time per collected sample.
 
@@ -439,13 +446,35 @@ def optimal_beta(
         evaluated[log_beta] = value(log_beta)
         return evaluated[log_beta][0]
 
-    log_best, obj = golden_max(objective, 0.0, math.log(BETA_MAX), tol=tol)
+    log_best, obj = golden_max(objective, 0.0, math.log(BETA_MAX), tol=BETA_TOL)
     # the capacity term grows without bound, so check the upper edge too
     edge_obj, edge_a = value(math.log(BETA_MAX))
     if edge_obj >= obj:
         return OptimalBeta(beta=BETA_MAX, aloha=edge_a, objective=edge_obj)
     obj, a = evaluated[log_best]
     return OptimalBeta(beta=math.exp(log_best), aloha=a, objective=obj)
+
+
+def tuned_link(
+    geom: HoverGeometry,
+    radio: RadioSpec,
+    beta: float | None,
+    aloha: float | None,
+) -> RadioSpec:
+    """``radio`` with each given link value applied and each free one tuned.
+
+    The given values are set before any search.  A free transmit probability
+    under a given threshold is :func:`optimal_aloha`; a free threshold is
+    :func:`optimal_beta`, which re-tunes the transmit probability per trial
+    only when that is free too.
+    """
+    radio = radio.with_(**{k: v for k, v in (("beta", beta), ("aloha", aloha)) if v is not None})
+    if beta is None:
+        best = optimal_beta(geom, radio, optimize_a=aloha is None)
+        return radio.with_(beta=best.beta, aloha=best.aloha)
+    if aloha is None:
+        return radio.with_(aloha=optimal_aloha(geom, radio))
+    return radio
 
 
 def slot_duration(radio: RadioSpec) -> float:

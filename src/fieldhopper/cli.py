@@ -34,8 +34,8 @@ from .channel import (
     HoverGeometry,
     edge_success_probability,
     hover_time_aggregation,
-    optimal_aloha,
     success_probability,
+    tuned_link,
 )
 from .config import ConfigError, RunConfig, load_config
 from .covering import MissingRowError, NormalizedCoverageTable, fit_alpha
@@ -193,10 +193,15 @@ def _check_grid(cfg: RunConfig, axis: str, grid: np.ndarray) -> None:
             _check_positive(grid=value)
 
 
+def _link(cfg: RunConfig, geom: HoverGeometry, beta: float | None = None):
+    """The link at ``geom`` with beta held at ``beta`` (default: as configured,
+    1.8 when ``optimize``) and ALOHA as configured, tuned when ``optimize``."""
+    radio = cfg.radio()
+    return tuned_link(geom, radio, radio.beta if beta is None else beta, cfg.aloha)
+
+
 def _sweep_beta(cfg, geom, value):
-    link = cfg.radio().with_(beta=value)
-    if cfg.aloha is None:
-        link = link.with_(aloha=optimal_aloha(geom, link))
+    link = _link(cfg, geom, value)
     p = success_probability(geom, link)
     thr = p * math.log2(1.0 + link.beta)
     hover = hover_time_aggregation(1, cfg.zeta, geom, link)
@@ -212,15 +217,14 @@ def _sweep_aloha(cfg, geom, value):
 
 def _sweep_radius(cfg, geom, value):
     g = HoverGeometry(value, cfg.drone().altitude_for_radius(value), cfg.density)
-    radio = cfg.radio()
-    link = radio.with_(aloha=optimal_aloha(g, radio)) if cfg.aloha is None else radio
+    link = _link(cfg, g)
     p = success_probability(g, link)
     hover = hover_time_aggregation(1, cfg.zeta, g, link)
     return "R,aloha,p_success,hover_s", (value, link.aloha, p, hover), None
 
 
 def _sweep_probe_radius(cfg, geom, value):
-    p = edge_success_probability(geom, cfg.radio(), value)
+    p = edge_success_probability(geom, _link(cfg, geom), value)
     return "R_mse,p_edge_success", (value, p), None
 
 
@@ -278,10 +282,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     _check_positive(radius=args.radius, probe_radius=args.probe_radius,
                     slots=args.slots, replications=args.replications)
-    radio = cfg.radio()
     geom = HoverGeometry(args.radius, cfg.drone().altitude_for_radius(args.radius), cfg.density)
-    if cfg.aloha is None:
-        radio = radio.with_(aloha=optimal_aloha(geom, radio))
+    radio = _link(cfg, geom)
     analytic = success_probability(geom, radio)
     sim = SimConfig(
         geom=geom, radio=radio, slots=args.slots,

@@ -100,11 +100,11 @@ class RunConfig:
 
     # ---- spec builders -----------------------------------------------------
     def radio(self) -> RadioSpec:
+        """The configured link; an ``optimize`` value reads ``RadioSpec``'s default."""
+        given = {k: v for k, v in (("beta", self.beta), ("aloha", self.aloha)) if v is not None}
         return RadioSpec(
             power=self.power, noise=self.noise, eta=self.eta, m=self.nakagami_m,
-            bandwidth=self.bandwidth, packet_bits=self.packet_bits,
-            beta=self.beta if self.beta is not None else 1.8,
-            aloha=self.aloha if self.aloha is not None else 0.01,
+            bandwidth=self.bandwidth, packet_bits=self.packet_bits, **given,
         )
 
     def drone(self) -> DroneSpec:

@@ -1,12 +1,14 @@
 """Top-level mission planners.
 
 For every candidate number of hovering locations M the planner pulls the
-cached covering layout, derives the hover geometry, optimizes the link
-parameters, prices the hover and travel times, and keeps the M with the
-smallest total.  Hover time falls with M (smaller disks hear their sensors
-better) while travel time grows, so the total has an interior minimum; the
-sweep stops after the total has risen for three consecutive M to ride out
-heuristic-coverage noise.
+cached covering layout, derives the hover geometry, fixes or tunes the link
+through :func:`fieldhopper.channel.tuned_link` (estimation first
+line-searches a free beta on its own hover objective), prices the hover and
+travel times, and keeps the M with the smallest total.  One UAV is a fleet
+of one: its tour comes from the same min-max split as K UAVs.  Hover time
+falls with M (smaller disks hear their sensors better) while travel time
+grows, so the total has an interior minimum; the sweep stops after the total
+has risen for three consecutive M to ride out heuristic-coverage noise.
 """
 
 from __future__ import annotations
@@ -22,16 +24,15 @@ from .channel import (
     HoverGeometry,
     RadioSpec,
     aggregation_slots,
-    optimal_aloha,
-    optimal_beta,
     slot_duration,
     success_probability,
+    tuned_link,
 )
 from .covering import NormalizedCoverageTable
 from .field import CovarianceSpec, EstimationInfeasible, optimal_slots_estimation
 from .kinematics import DroneSpec, travel_time
 from .search import golden_min
-from .tours import Tour, solve_minmax_mdmtsp, solve_tsp
+from .tours import Tour, solve_minmax_mdmtsp
 
 __all__ = [
     "FieldSpec",
@@ -169,24 +170,6 @@ def multi_uav_total(
     return per_uav[worst].total_time, per_uav, worst
 
 
-def _link_for_aggregation(
-    geom: HoverGeometry,
-    radio: RadioSpec,
-    fixed_beta: float | None,
-    fixed_aloha: float | None,
-) -> RadioSpec:
-    if fixed_beta is not None and fixed_aloha is not None:
-        return radio.with_(beta=fixed_beta, aloha=fixed_aloha)
-    if fixed_beta is not None:
-        trial = radio.with_(beta=fixed_beta)
-        return trial.with_(aloha=optimal_aloha(geom, trial))
-    best = optimal_beta(
-        geom, radio, optimize_a=fixed_aloha is None
-    )
-    aloha = best.aloha if fixed_aloha is None else fixed_aloha
-    return radio.with_(beta=best.beta, aloha=aloha)
-
-
 def _tours_and_travel(
     centers: np.ndarray,
     depots: np.ndarray,
@@ -195,15 +178,13 @@ def _tours_and_travel(
     hover_per_hl: float,
     seed: int,
 ) -> tuple[float, float, list[UavBreakdown] | None, int | None]:
-    """(total travel-or-mission residual, travel, per-uav, bottleneck)."""
-    if k == 1:
-        tour = solve_tsp(centers, depots[0])
-        t_travel = travel_time(tour, drone)
-        total = len(centers) * hover_per_hl + t_travel
-        return total, t_travel, None, None
+    """(mission total, bottleneck travel, per-uav, bottleneck); one UAV is a
+    fleet of one, whose breakdown the record leaves out."""
     stop_cost = drone.speed * (hover_per_hl + drone.reconf_time)
     tours = solve_minmax_mdmtsp(centers, depots, k, stop_cost=stop_cost, seed=seed)
     total, per_uav, worst = multi_uav_total(tours, hover_per_hl, drone)
+    if k == 1:
+        return total, per_uav[0].travel_time, None, None
     return total, per_uav[worst].travel_time, per_uav, worst
 
 
@@ -282,7 +263,7 @@ def plan_aggregation(
         raise ValueError("zeta must be non-negative")
 
     def price(m: int, geom: HoverGeometry) -> dict:
-        link = _link_for_aggregation(geom, radio, fixed_beta, fixed_aloha)
+        link = tuned_link(geom, radio, fixed_beta, fixed_aloha)
         p = success_probability(geom, link)
         slots = aggregation_slots(m, zeta, p)
         hover = slots * slot_duration(link) if math.isfinite(slots) else math.inf
@@ -301,38 +282,27 @@ def _link_for_estimation(
     fixed_beta: float | None,
     fixed_aloha: float | None,
 ):
-    """Pick beta (and aloha) minimizing per-hover time J* x slot length."""
+    """Pick beta (and aloha) minimizing per-hover time J* x slot length.
 
-    def budget_for(link: RadioSpec):
-        return optimal_slots_estimation(geom, link, cov, delta)
+    A free beta is line-searched on the true objective with the transmit
+    probability held where it is tuned (or fixed) at the default threshold;
+    the link at the best beta is then tuned as a given one would be.
+    """
+    beta = fixed_beta
+    if beta is None:
+        a0 = tuned_link(geom, radio, RadioSpec.beta, fixed_aloha).aloha
 
-    def aloha_for(link: RadioSpec) -> float:
-        if fixed_aloha is not None:
-            return fixed_aloha
-        return optimal_aloha(geom, link)
+        def hover_at(log_beta: float) -> float:
+            link = radio.with_(beta=math.exp(log_beta), aloha=a0)
+            try:
+                return optimal_slots_estimation(geom, link, cov, delta).hover_time
+            except EstimationInfeasible:
+                return math.inf
 
-    if fixed_beta is not None:
-        link = radio.with_(beta=fixed_beta)
-        link = link.with_(aloha=aloha_for(link))
-        return link, budget_for(link)
-
-    # seed the transmit probability at a mid-range threshold, then line-search
-    # beta on the true objective, then re-tune the transmit probability once
-    seed_link = radio.with_(beta=1.8)
-    a0 = aloha_for(seed_link)
-
-    def hover_at(log_beta: float) -> float:
-        link = radio.with_(beta=math.exp(log_beta), aloha=a0)
-        try:
-            return budget_for(link).hover_time
-        except EstimationInfeasible:
-            return math.inf
-
-    log_best, _ = golden_min(hover_at, 0.0, math.log(BETA_MAX), tol=5e-3)
-    link = radio.with_(beta=math.exp(log_best), aloha=a0)
-    if fixed_aloha is None:
-        link = link.with_(aloha=optimal_aloha(geom, link))
-    return link, budget_for(link)
+        log_best, _ = golden_min(hover_at, 0.0, math.log(BETA_MAX), tol=5e-3)
+        beta = math.exp(log_best)
+    link = tuned_link(geom, radio, beta, fixed_aloha)
+    return link, optimal_slots_estimation(geom, link, cov, delta)
 
 
 def plan_estimation(

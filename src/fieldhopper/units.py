@@ -8,8 +8,6 @@ here.
 
 from __future__ import annotations
 
-import math
-
 KMH = 1000.0 / 3600.0           # km/h -> m/s
 KMH_PER_S = 1000.0 / 3600.0     # (km/h)/s -> m/s^2
 KMH2 = 1000.0 / 3600.0 ** 2     # km/h^2 -> m/s^2
@@ -18,12 +16,6 @@ KIB = 1024                      # kB -> bytes (binary, 5 kB packet = 40960 bit)
 
 def dbm_to_watts(dbm: float) -> float:
     return 1e-3 * 10.0 ** (dbm / 10.0)
-
-
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * math.log10(watts / 1e-3)
 
 
 def kmh_to_mps(kmh: float) -> float:

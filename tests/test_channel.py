@@ -21,6 +21,7 @@ from fieldhopper.channel import (
     slot_duration,
     success_probability,
     theta_lens,
+    tuned_link,
 )
 from fieldhopper.field import PROBE_GRID, optimal_slots_estimation, probe_radius_limit
 
@@ -222,6 +223,19 @@ def test_optimal_beta_constant_success_goes_to_cap(geom20, radio, monkeypatch):
     monkeypatch.setattr(channel, "success_probability", lambda g, r: 0.5)
     best = optimal_beta(geom20, radio, optimize_a=False)
     assert best.beta == channel.BETA_MAX == 20.0
+
+
+def test_tuned_link_applies_given_values_before_tuning_free_ones(geom20, radio):
+    assert tuned_link(geom20, radio, 3.0, 0.005) == radio.with_(beta=3.0, aloha=0.005)
+    trial = radio.with_(beta=3.0)
+    assert tuned_link(geom20, radio, 3.0, None) == trial.with_(aloha=optimal_aloha(geom20, trial))
+    # a free threshold is searched at the given transmit probability, not radio's
+    fixed = radio.with_(aloha=5e-4)
+    best = optimal_beta(geom20, fixed, optimize_a=False)
+    assert best.beta != optimal_beta(geom20, radio, optimize_a=False).beta
+    assert tuned_link(geom20, radio, None, 5e-4) == fixed.with_(beta=best.beta)
+    best = optimal_beta(geom20, radio, optimize_a=True)
+    assert tuned_link(geom20, radio, None, None) == radio.with_(beta=best.beta, aloha=best.aloha)
 
 
 def test_theta_lens_regions():

@@ -149,6 +149,19 @@ def test_sweep_radius_uses_beamwidth_altitude(tmp_path):
     assert float(row.split(",")[2]) == pytest.approx(want, rel=1e-12)
 
 
+def test_sweep_probe_radius_at_the_diameter_is_the_radius_sweep(tmp_path):
+    # a probe disk of radius 2R holds the whole hover disk, so the edge capture
+    # probability is the disk's, on the same tuned link
+    rows = {}
+    for axis, grid in (("R", "20:20:1"), ("R_mse", "40:40:1")):
+        args = ["sweep", "--axis", axis, "--grid", grid, "--radius", "20",
+                "--out", str(tmp_path), "--label", axis]
+        assert run(args) == 0
+        line = (tmp_path / "sweep" / axis / "sweep.csv").read_text().splitlines()[2]
+        rows[axis] = [float(v) for v in line.split(",")]
+    assert rows["R_mse"][1] == pytest.approx(rows["R"][2], abs=1e-12)
+
+
 def test_sweep_area_plans_each_side(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("m_min = 5\nm_max = 7\n")

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,37 @@ def test_default_table_is_the_packaged_one(deployment, drone, radio, cov75, tabl
     assert covering_solves == []
     if mission == "aggregation":  # the reference deployment's optimum
         assert (report.best.m, round(report.best.total, 3)) == (6, 219.907)
+
+
+# sha256 of json.dumps(report.to_dict(), sort_keys=True): a refactor of the
+# planners that moves any value of these plans, or a key, fails here
+PLAN_DIGESTS = {
+    "aggregation": "4f987540265da95ad9a8519452c10fb22d831523f73ea44c37666a74343146e1",
+    "estimation M 8-10": "d709f2c7092aae7ca68f18f0bc149a05fa0a1bc43b64a6b1f725cb41317acd80",
+    "K=2 M=18": "d220df89f1eda6cb3ff5c980881d0cbd8d2392646e97f0a8af2d3a1dfceb73e3",
+}
+
+
+@pytest.mark.parametrize("case", list(PLAN_DIGESTS))
+def test_plans_bit_identical(case, deployment, drone, radio, cov75, table):
+    if case == "aggregation":
+        report = plan_aggregation(deployment, drone, radio, 250.0, table=table)
+    elif case == "estimation M 8-10":
+        report = plan_estimation(deployment, drone, radio, cov75, 0.2,
+                                 m_range=range(8, 11), table=table)
+    else:
+        report = plan_aggregation(deployment, drone, radio, 250.0, m_range=[18], k=2,
+                                  depots=[(50.0, 0.0), (50.0, 100.0)], table=table)
+    payload = json.dumps(report.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == PLAN_DIGESTS[case]
+
+
+def test_fixed_aloha_is_applied_before_the_beta_search(deployment, drone, radio, table):
+    def plan(radio_aloha):
+        return plan_aggregation(deployment, drone, radio.with_(aloha=radio_aloha), 250.0,
+                                m_range=[6], table=table, fixed_aloha=5e-4).to_dict()
+
+    assert plan(0.01) == plan(5e-4)
 
 
 def test_zero_samples_reduces_to_travel(deployment, drone, radio, table):
