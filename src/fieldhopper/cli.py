@@ -9,9 +9,11 @@ Subcommands:
   fit-alpha        fit the sqrt(c*M)+d tour-length model to a table
 
 All outputs land under ``<out>/<command>/<label>/``; the label defaults to a
-digest of the configuration, so re-running identical inputs rewrites
-identical bytes.  Exit codes: 0 success, 2 infeasible plan (or usage error),
-3 Monte Carlo validation mismatch, 1 crash.
+digest of the configuration, followed by a digest of the command's own
+options where it has any (``sweep --axis``, ``simulate --radius``, ...).  So
+re-running identical inputs rewrites identical bytes, and runs that differ
+in any input write apart.  Exit codes: 0 success, 2 infeasible plan (or
+usage error), 3 Monte Carlo validation mismatch, 1 crash.
 
 ``plan``, ``sweep`` and ``fit-alpha`` read the packaged covering table
 unless ``--table`` (or the ``table`` config key) names another file.  They
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import math
 import sys
@@ -63,8 +66,14 @@ def load_table(cfg: RunConfig) -> NormalizedCoverageTable:
     return NormalizedCoverageTable.packaged()
 
 
-def _out_dir(cfg: RunConfig, command: str) -> Path:
+def _out_dir(cfg: RunConfig, command: str, **options) -> Path:
+    """``<out>/<command>/<label>``; ``options`` are the command's non-config
+    arguments, and those that are set go into the default label."""
     label = cfg.label or cfg.digest()
+    options = {k: v for k, v in options.items() if v is not None}
+    if options and not cfg.label:
+        payload = json.dumps(options, sort_keys=True).encode()
+        label += "-" + hashlib.sha256(payload).hexdigest()[:8]
     path = Path(cfg.out_dir) / command / label
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -121,7 +130,7 @@ def cmd_coverage_table(args: argparse.Namespace) -> int:
     else:
         table = _read_table(args.extend, "--extend")
     table.ensure(args.m_max)
-    out = _out_dir(cfg, "coverage-table")
+    out = _out_dir(cfg, "coverage-table", extend=args.extend)
     table.save(out / "table.csv")
     print(f"wrote {out / 'table.csv'} (M up to {table.max_m})")
     if table.max_m >= 3:
@@ -272,7 +281,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             st = estimate_success_probability(sim)
             line += f",{st.p_success!r},{st.p_success_se!r}"
         rows.append(line)
-    out = _out_dir(cfg, "sweep")
+    out = _out_dir(cfg, "sweep", axis=args.axis, grid=args.grid, radius=args.radius,
+                   with_mc=args.with_mc, slots=args.slots, replications=args.replications)
     _write_csv(out / "sweep.csv", cfg, header, rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return EXIT_OK
@@ -315,7 +325,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         if abs(ze) > 3.0:
             payload["verdict"] = verdict = "FAIL"
-    out = _out_dir(cfg, "simulate")
+    out = _out_dir(cfg, "simulate", radius=args.radius, slots=args.slots,
+                   replications=args.replications, probe_radius=args.probe_radius)
     (out / "stats.json").write_text(json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
     print(
         f"analytic {analytic:.5f} vs empirical {stats.p_success:.5f}"
@@ -353,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output root directory")
-        p.add_argument("--label", help="output subdirectory name (default: config digest)")
+        p.add_argument("--label", help="output subdirectory name (default: digest of the inputs)")
 
     p = sub.add_parser("coverage-table", help="build the normalized covering table")
     add_common(p)

@@ -7,7 +7,9 @@ configuration radius is the largest cell vertex distance.  Both quantities
 are exact for a given configuration, so no evaluation grid is involved.
 Multistart (structured grids plus random layouts) with small perturbation
 kicks escapes poor local optima.  The starts descend together: one array
-pass clips the cells of every start for each relocation step.
+pass clips the cells of every start for each relocation step.  Each start
+draws its random numbers from its own stream spawned from the seed, so the
+batch gives what solving one start at a time would.
 
 Results are always computed on the unit square and scaled, so plans for
 different field sizes are exactly similar.  A normalized table of covering
@@ -162,27 +164,20 @@ KICK_SCALES = (0.3, 0.15, 0.08, 0.04)
 MAX_ITER = 120
 
 
-def _descend_starts(starts: np.ndarray, rng: np.random.Generator) -> list[tuple[float, np.ndarray]]:
-    """Descend, kick and re-descend the leading starts of a (B, M, 2) batch.
+def _descend_starts(starts: np.ndarray, rngs: list[np.random.Generator]) -> list[tuple[float, np.ndarray]]:
+    """Descend, kick and re-descend every start of a (B, M, 2) batch.
 
     A descent relocates each center to the minimum enclosing circle of its
     Voronoi cell until no center moves by 1e-10 or MAX_ITER steps pass, and
     keeps the best layout it saw, the final one included.  Each start is then
-    kicked once per KICK_SCALES entry by ``scale * radius`` times a standard
-    normal, and keeps a kicked descent that lowers its radius.  Each pass
-    advances every running start by one step; a start whose descent has
-    ended takes its next kick in the same pass, so starts run out of phase.
+    kicked once per KICK_SCALES entry by a normal of standard deviation
+    ``scale * radius``, and keeps a kicked descent that lowers its radius.
+    Each pass advances every running start by one step; a start whose descent
+    has ended takes its next kick in the same pass, so starts run out of phase.
 
-    Random numbers are used as a start-by-start loop would use them.  The
-    kicks of all B starts are drawn ahead as one block of standard normals
-    (``Generator.normal`` is ``0.0 + scale * z``).  A cell with fewer than
-    three vertices is reseeded with two uniforms at its place in the stream,
-    which the block has already passed.  So the first start to need that
-    rewinds the generator past the kicks of the starts before it, begins
-    again and draws as it goes; the starts after it are dropped.  A pass
-    that switches starts this way is run again; it changes nothing for the
-    other starts.  Returns the (radius, centers) of the starts it finished:
-    all B, or those up to and including the one that drew as it went.
+    Start k draws its reseeds and kicks from ``rngs[k]`` alone, in the order
+    it needs them, so a batch gives what B one-start calls give.  Returns the
+    (radius, centers) of every start, in start order.
     """
     b, m, _ = starts.shape
     n_kicks = len(KICK_SCALES)
@@ -193,40 +188,28 @@ def _descend_starts(starts: np.ndarray, rng: np.random.Generator) -> list[tuple[
     phase = np.zeros(b, dtype=int)
     ending = np.zeros(b, dtype=bool)
     done = np.zeros(b, dtype=bool)
-    state = rng.bit_generator.state
-    kicks = rng.standard_normal((b, n_kicks, m, 2))
-    live = b  # the start drawing as it goes; starts after it are dropped
-    while not done[:live + 1].all():
-        lanes = np.flatnonzero(~done[:live + 1])
+    while not done.all():
+        lanes = np.flatnonzero(~done)
         verts, count = _voronoi(cur[lanes])
         radius = _radii(cur[lanes], verts, count)
         better = radius < best_r[lanes]
         best_r[lanes[better]] = radius[better]
         best_c[lanes[better]] = cur[lanes[better]]
 
-        # Reseeds are not rare: at M=8 the descents of the ring start and of
-        # one square-contour start put two centers on one point after seven
+        # one relocation step of every start still descending.  Reseeds are
+        # not rare: at M=8 the descents of the ring start and of one
+        # square-contour start put two centers on one point after seven
         # relocation steps.  Their bisector reads 0 <= c with c a rounding
-        # residue (-5.6e-17), which clips both cells to nothing.  The reseed
-        # is kept so that seeded tables replay bit for bit.
-        empty = lanes[(count.reshape(-1, m) < 3).any(axis=1) & ~ending[lanes]]
-        if empty.size and empty[0] != live:
-            live = int(empty[0])
-            rng.bit_generator.state = state
-            rng.standard_normal((live, n_kicks, m, 2))
-            cur[live], best_r[live], r[live] = starts[live], math.inf, math.inf
-            steps[live] = phase[live] = 0
-            ending[live] = False
-            continue
-
-        # one relocation step of every start still descending
+        # residue (-5.6e-17), which clips both cells to nothing.  Such a cell
+        # has no circle to move to, so its center is reseeded with two
+        # uniforms from its start's stream.
         moving = np.flatnonzero(~ending[lanes])
         fin = lanes[ending[lanes]]
         rows = (moving[:, None] * m + np.arange(m)).ravel()
         moved = []
-        for cell, size in zip(verts[rows].tolist(), count[rows].tolist()):
+        for row, cell, size in zip(rows.tolist(), verts[rows].tolist(), count[rows].tolist()):
             if size < 3:
-                moved.append(rng.random(2))
+                moved.append(rngs[lanes[row // m]].random(2))
                 continue
             x, y = _mec_center(cell[:size])
             moved.append((min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0)))
@@ -243,16 +226,14 @@ def _descend_starts(starts: np.ndarray, rng: np.random.Generator) -> list[tuple[
         done[fin[phase[fin] == n_kicks]] = True
         fin = fin[phase[fin] < n_kicks]
         if fin.size:
-            z = kicks[fin, phase[fin]]
-            if live in fin:
-                z[fin == live] = rng.standard_normal((m, 2))
             scale = np.array(KICK_SCALES)[phase[fin]] * r[fin]
-            cur[fin] = np.clip(c[fin] + (0.0 + scale[:, None, None] * z), 0.0, 1.0)
+            kicks = [rngs[k].normal(0.0, s, (m, 2)) for k, s in zip(fin.tolist(), scale.tolist())]
+            cur[fin] = np.clip(c[fin] + np.array(kicks), 0.0, 1.0)
             best_r[fin] = math.inf
             steps[fin] = 0
             phase[fin] += 1
             ending[fin] = False
-    return [(float(r[k]), c[k].copy()) for k in range(min(live + 1, b))]
+    return [(float(r[k]), c[k].copy()) for k in range(b)]
 
 
 def _grid_starts(m: int) -> list[np.ndarray]:
@@ -324,6 +305,17 @@ def _square_ring_starts(m: int) -> list[np.ndarray]:
     return starts
 
 
+def _starts(m: int, seed: int, restarts: int) -> tuple[np.ndarray, list[np.random.Generator]]:
+    """The structured layouts, then random ones up to ``restarts``, and one
+    stream per start spawned from ``seed``; random start k is drawn from its own."""
+    structured = _grid_starts(m) + _row_starts(m) + _ring_starts(m) + _square_ring_starts(m)
+    starts = [s for s in structured if len(s) == m]
+    streams = np.random.SeedSequence(seed).spawn(max(restarts, len(starts)))
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    starts += [rng.random((m, 2)) for rng in rngs[len(starts):]]
+    return np.array(starts, dtype=float), rngs
+
+
 def solve_unit_covering(
     m: int, seed: int, restarts: int = 60
 ) -> list[tuple[float, np.ndarray]]:
@@ -335,15 +327,7 @@ def solve_unit_covering(
     """
     if m == 1:
         return [(math.sqrt(0.5), np.array([[0.5, 0.5]]))]
-    rng = np.random.default_rng(seed)
-    structured = _grid_starts(m) + _row_starts(m) + _ring_starts(m) + _square_ring_starts(m)
-    starts = [s for s in structured if len(s) == m]
-    while len(starts) < restarts:
-        starts.append(rng.random((m, 2)))
-    starts = np.array(starts, dtype=float)
-    candidates: list[tuple[float, np.ndarray]] = []
-    while len(candidates) < len(starts):
-        candidates += _descend_starts(starts[len(candidates):], rng)
+    candidates = _descend_starts(*_starts(m, seed, restarts))
     candidates.sort(key=lambda rc: rc[0])
     return candidates
 
@@ -424,8 +408,6 @@ class NormalizedCoverageTable:
             key = tuple(np.round(_canonical(centers), 3).ravel())
             if key not in distinct:
                 distinct[key] = (r, centers)
-            if len(distinct) >= 16:
-                break
         scored = []
         for r, centers in distinct.values():
             tour = solve_tsp(centers, centers[0])

@@ -162,6 +162,18 @@ def test_sweep_probe_radius_at_the_diameter_is_the_radius_sweep(tmp_path):
     assert rows["R_mse"][1] == pytest.approx(rows["R"][2], abs=1e-12)
 
 
+def test_default_labels_keep_sweeps_of_one_config_apart(tmp_path):
+    for axis, grid in (("beta", "1:2:2"), ("a", "0.01:0.02:2")):
+        assert run(["sweep", "--axis", axis, "--grid", grid, "--out", str(tmp_path)]) == 0
+    files = sorted((tmp_path / "sweep").glob("*/sweep.csv"))
+    assert len(files) == 2
+    # one config: both are stamped with its digest, and both labels begin with it
+    digest = files[0].read_text().split()[1].removeprefix("config=")
+    for f in files:
+        assert f.read_text().startswith(f"# config={digest} ")
+        assert f.parent.name.startswith(f"{digest}-")
+
+
 def test_sweep_area_plans_each_side(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("m_min = 5\nm_max = 7\n")

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from fieldhopper import covering
 from fieldhopper.covering import (
     UNIT_SQUARE,
     AlphaFit,
     MissingRowError,
     NormalizedCoverageTable,
     TableRow,
+    _descend_starts,
+    _starts,
     _voronoi,
     cover_radius,
     fit_alpha,
@@ -100,12 +103,13 @@ def test_batched_cells_match_scalar_clip(rng, m):
 
 
 # sha256 of the full sorted candidate list (each radius, then its centers, as
-# little-endian float64), recorded at commit c1be5c9, whose solver descended
-# one start at a time; (8, 0, 10) reseeds empty cells of coincident centers
+# little-endian float64).  Recorded when each start first drew from its own
+# SeedSequence child stream; the one-stream solver of commit c1be5c9 gave
+# other bits.  (8, 0, 10) reseeds empty cells of coincident centers.
 CANDIDATE_DIGESTS = {
-    (8, 0, 10): "7404b8ad7095f878f8a0a5e28cfa41f0ac64918905be0ade935969420394e0aa",
-    (3, 4, 10): "836b9a7b0be33fe7ffa5243ac6393886c08580f7d8f3fe24d88ad3a7561d370c",
-    (5, 6, 10): "bd91e1da6450041344b08f6efce2e74c475bead9c426e870df736021c066cd2c",
+    (8, 0, 10): "5ff289ce8949c2c1c0b1e88253550d9f0484d6197adb76191bed990e64209d0b",
+    (3, 4, 10): "0a8ad9ecdfa689fa1ab8771852a8652badf008e0655fb894cea461ed837eb97e",
+    (5, 6, 10): "e87b416068d814cd7621089a6845b2d9c74ff9bea3dac6db05b8741678c453b5",
 }
 
 
@@ -116,6 +120,50 @@ def test_solver_candidates_bit_identical(case):
         digest.update(np.float64(radius).astype("<f8").tobytes())
         digest.update(np.asarray(centers, dtype="<f8").tobytes())
     assert digest.hexdigest() == CANDIDATE_DIGESTS[case]
+
+
+class CountingRng:
+    """Wraps a generator and counts the reseed draws ``_descend_starts`` makes."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.reseeds = 0
+
+    def random(self, size):
+        self.reseeds += 1
+        return self.rng.random(size)
+
+    def normal(self, loc, scale, size):
+        return self.rng.normal(loc, scale, size)
+
+
+@pytest.mark.parametrize("case", sorted(CANDIDATE_DIGESTS), ids="m{0[0]}-seed{0[1]}".format)
+def test_batch_equals_one_start_calls(case):
+    starts, rngs = _starts(*case)
+    batch_rngs = [CountingRng(rng) for rng in rngs]
+    batch = _descend_starts(starts, batch_rngs)
+    _, again = _starts(*case)
+    single = []
+    for k, rng in enumerate(again):
+        single += _descend_starts(starts[k:k + 1], [rng])
+    assert len(batch) == len(single) == len(starts)
+    for (r1, c1), (r2, c2) in zip(batch, single):
+        assert r1 == r2
+        assert np.array_equal(c1, c2)
+    if case[0] == 8:
+        # a cell with fewer than three vertices was reseeded
+        assert sum(rng.reseeds for rng in batch_rngs) > 0
+
+
+def test_build_row_scores_every_near_tie(monkeypatch):
+    # 17 distinct layouts within 0.5% in radius; the shortest tour comes last
+    rng = np.random.default_rng(5)
+    layouts = [rng.random((6, 2)) for _ in range(16)] + [0.5 + 0.01 * rng.random((6, 2))]
+    candidates = [(0.3 * (1.0 + 1e-4 * k), c) for k, c in enumerate(layouts)]
+    monkeypatch.setattr(covering, "solve_unit_covering", lambda *args: candidates)
+    row = NormalizedCoverageTable()._build_row(6)
+    assert row.delta == candidates[-1][0]
+    assert np.array_equal(np.sort(row.centers, axis=0), np.sort(layouts[-1], axis=0))
 
 
 @pytest.mark.parametrize("m", [2, 5, 9])
