@@ -32,9 +32,7 @@ from .field import (
     ObservationSet,
     area_ratio_rho,
     covariance,
-    edge_mse_bound,
     krige,
-    no_success_probability,
     optimal_slots_estimation,
     sample_field,
 )

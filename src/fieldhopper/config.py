@@ -84,6 +84,8 @@ class RunConfig:
             raise ConfigError("aggregation mission needs zeta > 0")
         if self.mission == "estimation" and not 0 < self.delta < self.sigma2:
             raise ConfigError("estimation mission needs 0 < delta < sigma2")
+        if self.mission == "estimation" and self.nu != 0.5:
+            raise ConfigError("estimation mission needs nu = 0.5 (exponential covariance)")
         if self.m_min < 1 or self.m_max < self.m_min:
             raise ConfigError("need 1 <= m_min <= m_max")
         if self.uavs < 1:

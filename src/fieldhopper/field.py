@@ -5,16 +5,16 @@ The measured quantity is a zero-mean Gaussian field with a Matern covariance
 Prediction at unobserved points is simple kriging; the per-point posterior
 variance is what the mission budget is written against.
 
-The hovering-duration machinery bounds the worst-case (edge-of-disk) MSE by
-the probability that no sample arrives from within a probe disk of radius
-``r_mse`` centered on the disk edge, and picks the probe radius / slot count
-pair that meets the target with the fewest slots.
+The edge-MSE budget bounds the mean MSE at a hover-disk edge point by the
+probability that no sample arrives from within a probe disk of radius
+``r_mse`` centered on that point, and picks the probe radius / slot count
+pair that meets the target with the fewest slots.  The budget assumes the
+exponential covariance and reads the target only as ``delta / sigma2``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +37,6 @@ __all__ = [
     "covariance_matrix",
     "krige",
     "sample_field",
-    "edge_mse_bound",
-    "no_success_probability",
     "area_ratio_rho",
     "probe_radius_limit",
     "estimation_slots",
@@ -216,37 +214,28 @@ def sample_field(locations, spec: CovarianceSpec, seed) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # edge-MSE budget
+#
+# A point on the hover-disk edge is kriged from the samples heard around it.
+# Let p_ns be the probability that no sample arrives from within r of it.
+# Without one its MSE is at most the prior sigma2; with one at distance at
+# most r, simple kriging from that sample alone leaves at most
+# sigma2 - C(r)^2 / sigma2 = sigma2 (1 - exp(-2r/b)) for the exponential
+# covariance (Rasmussen & Williams, GPML 2.2).  So the mean edge MSE meets
+#     sigma2 p_ns + (1 - p_ns) sigma2 (1 - exp(-2r/b)) <= delta
+# whenever p_ns <= 1 - (1 - delta/sigma2) exp(2r/b), an allowance that
+# depends on delta/sigma2 only and reaches 0 at r = (b/2) ln(sigma2 / (sigma2
+# - delta)), the largest admissible probe radius.  J slots leave
+# p_ns = (1 - p_edge)^(J/rho): p_edge is the per-slot capture probability
+# from the lens the probe disk shares with the hover disk, rho the lens's
+# share of the probe disk, and the rest of the probe disk is taken as covered
+# by one neighbouring disk with the same per-slot statistics.
 
-def edge_mse_bound(p_ns: float, r_mse: float, spec: CovarianceSpec) -> float:
-    """Upper bound on mean MSE at a disk-edge point (exponential covariance).
-
-    ``p_ns`` is the probability that no sample arrived from within ``r_mse``
-    of the point.  Negative values (possible for sigma2 < 1, outside the
-    bound's intended regime) are clamped to zero.
-    """
-    if not 0.0 <= p_ns <= 1.0:
-        raise ValueError("p_ns must be a probability")
-    if spec.sigma2 != 1.0:
-        warnings.warn(
-            "edge MSE bound is calibrated for unit field variance",
-            stacklevel=2,
-        )
-    close = spec.sigma2 - math.exp(-2.0 * r_mse / spec.b) / spec.sigma2
-    return max(spec.sigma2 * p_ns + (1.0 - p_ns) * close, 0.0)
-
-
-def no_success_probability(p_e_s: float, j: float, rho: float) -> float:
-    """Probability that ``j`` slots deliver nothing from the whole probe disk.
-
-    The part of the probe disk outside the hover disk is assumed covered by
-    one neighboring disk with the same per-slot statistics, which turns the
-    in-lens miss probability into an exponent 1/rho.
-    """
-    if not 0.0 <= p_e_s <= 1.0:
-        raise ValueError("p_e_s must be a probability")
-    if not j >= 0 or not 0.0 < rho <= 1.0:
-        raise ValueError("need j >= 0 and 0 < rho <= 1")
-    return (1.0 - p_e_s) ** (j / rho)
+def _check_budget(spec: CovarianceSpec, delta: float) -> None:
+    """The budget's preconditions: exponential covariance, 0 < delta < sigma2."""
+    if spec.nu != 0.5:
+        raise ValueError("the edge-MSE budget needs the exponential covariance (nu = 0.5)")
+    if not 0.0 < delta < spec.sigma2:
+        raise ValueError("delta must lie in (0, sigma2)")
 
 
 def area_ratio_rho(cover_radius: float, r_mse):
@@ -272,12 +261,8 @@ def area_ratio_rho(cover_radius: float, r_mse):
 
 def probe_radius_limit(spec: CovarianceSpec, delta: float) -> float:
     """Largest admissible probe radius for an MSE target ``delta``."""
-    if not 0.0 < delta < spec.sigma2:
-        raise ValueError("delta must lie in (0, sigma2)")
-    arg = (spec.sigma2 - delta) * spec.sigma2
-    if arg >= 1.0:
-        return 0.0
-    return 0.5 * spec.b * math.log(1.0 / arg)
+    _check_budget(spec, delta)
+    return 0.5 * spec.b * math.log(spec.sigma2 / (spec.sigma2 - delta))
 
 
 def estimation_slots(
@@ -289,15 +274,14 @@ def estimation_slots(
 ):
     """Real-valued slot count meeting the edge-MSE target at probe radius.
 
-    Solves edge_mse_bound(no_success_probability(p_edge, J, rho), r_mse) =
-    delta for J; infinite where no slot count can reach the target.
-    ``r_mse`` may be a scalar or an array of probe radii.
+    Solves (1 - p_edge)^(J/rho) = p_ns for J at the allowance p_ns above;
+    infinite where no slot count can reach the target.  ``r_mse`` may be a
+    scalar or an array of probe radii.
     """
-    if not 0.0 < delta < spec.sigma2:
-        raise ValueError("delta must lie in (0, sigma2)")
+    _check_budget(spec, delta)
     r = np.asarray(r_mse, dtype=float)
     p_edge = np.asarray(edge_success_probability(geom, radio, r))
-    target = 1.0 + (delta - spec.sigma2) * spec.sigma2 * np.exp(2.0 * r / spec.b)
+    target = 1.0 + (delta - spec.sigma2) / spec.sigma2 * np.exp(2.0 * r / spec.b)
     rho = area_ratio_rho(geom.radius, r)
     ok = (p_edge > 0.0) & (p_edge < 1.0) & (target > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -29,7 +29,12 @@ from .channel import (
     tuned_link,
 )
 from .covering import NormalizedCoverageTable
-from .field import CovarianceSpec, EstimationInfeasible, optimal_slots_estimation
+from .field import (
+    CovarianceSpec,
+    EstimationInfeasible,
+    _check_budget,
+    optimal_slots_estimation,
+)
 from .kinematics import DroneSpec, travel_time
 from .search import golden_min
 from .tours import Tour, solve_minmax_mdmtsp
@@ -324,8 +329,7 @@ def plan_estimation(
     Per-hover slot counts come from the edge-MSE budget (probe radius line
     search), so unlike aggregation the hover time does not shrink with 1/M.
     """
-    if not 0.0 < delta < cov.sigma2:
-        raise ValueError("delta must lie in (0, sigma2)")
+    _check_budget(cov, delta)
 
     def price(m: int, geom: HoverGeometry) -> dict:
         try:

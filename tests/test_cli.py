@@ -61,10 +61,30 @@ def test_plan_aggregation_outputs(tmp_path):
 
 
 def test_plan_infeasible_exit_code(tmp_path):
+    # a link that never transmits delivers no sample, so no M meets the target
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("mission = estimation\nsigma2 = 2\ndelta = 0.1\nm_max = 3\n")
+    cfg.write_text("mission = estimation\naloha = 0\nm_max = 3\n")
     code = run(["plan", "--config", str(cfg), "--out", str(tmp_path), "--label", "bad"])
     assert code == cli.EXIT_INFEASIBLE
+
+
+def test_plan_estimation_target_is_relative_to_field_variance(tmp_path):
+    # delta = 1.4 is 70% of sigma2 = 2, a loose target
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mission = estimation\nsigma2 = 2\ndelta = 1.4\nm_min = 8\nm_max = 8\n")
+    code = run(["plan", "--config", str(cfg), "--out", str(tmp_path), "--label", "loose"])
+    assert code == 0
+
+
+def test_estimation_config_needs_exponential_covariance(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="nu = 0.5"):
+        RunConfig(mission="estimation", nu=1.5).validate()
+    RunConfig(mission="aggregation", nu=1.5).validate()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mission = estimation\nnu = 0.3\n")
+    code = run(["plan", "--config", str(cfg), "--m-max", "1", "--out", str(tmp_path)])
+    assert code == cli.EXIT_INFEASIBLE
+    assert "usage error:" in capsys.readouterr().err
 
 
 def test_sweep_beta_monotone(tmp_path):

@@ -16,14 +16,13 @@ from fieldhopper.field import (
     area_ratio_rho,
     covariance,
     covariance_matrix,
-    edge_mse_bound,
     estimation_slots,
     krige,
-    no_success_probability,
     optimal_slots_estimation,
     probe_radius_limit,
     sample_field,
 )
+from fieldhopper.mission import plan_estimation
 
 from conftest import REFERENCE_RTOL, reference_lens_quad
 
@@ -349,38 +348,6 @@ def test_sample_field_caps_size(cov75):
         sample_field(np.zeros((5001, 2)), cov75, seed=0)
 
 
-def test_edge_bound_no_observation_case(cov75):
-    assert edge_mse_bound(1.0, 5.0, cov75) == pytest.approx(cov75.sigma2)
-
-
-def test_edge_bound_perfect_nearby_observation():
-    spec = CovarianceSpec(sigma2=1.0, nu=0.5, b=75.0)
-    assert edge_mse_bound(0.0, 1e-9, spec) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_edge_bound_reference_arithmetic():
-    spec = CovarianceSpec(sigma2=1.0, nu=0.5, b=75.0)
-    want = 0.1 + 0.9 * (1.0 - math.exp(-40.0 / 75.0))
-    assert edge_mse_bound(0.1, 20.0, spec) == pytest.approx(want, rel=1e-12)
-
-
-def test_edge_bound_flags_nonunit_variance():
-    spec = CovarianceSpec(sigma2=0.5, nu=0.5, b=75.0)
-    with pytest.warns(UserWarning):
-        value = edge_mse_bound(0.0, 50.0, spec)
-    assert value >= 0.0  # clamped where the expression goes negative
-
-
-def test_no_success_probability_cases():
-    assert no_success_probability(0.3, 0.0, 0.5) == 1.0
-    assert no_success_probability(1.0, 3.0, 0.5) == 0.0
-    assert no_success_probability(0.1, 10.0, 0.5) == pytest.approx(0.9**20)
-    with pytest.raises(ValueError):
-        no_success_probability(0.1, 5.0, 0.0)
-    with pytest.raises(ValueError):
-        no_success_probability(0.1, math.nan, 0.5)
-
-
 def test_rho_limits():
     assert area_ratio_rho(20.0, 1e-4) == pytest.approx(0.5, abs=1e-4)
     assert area_ratio_rho(20.0, 40.0) == pytest.approx(0.25, rel=1e-9)
@@ -445,10 +412,29 @@ def test_probe_radius_limit():
     spec = CovarianceSpec(sigma2=1.0, nu=0.5, b=75.0)
     want = 0.5 * 75.0 * math.log(1.0 / 0.8)
     assert probe_radius_limit(spec, 0.2) == pytest.approx(want)
-    tight = CovarianceSpec(sigma2=2.0, nu=0.5, b=75.0)
-    assert probe_radius_limit(tight, 0.1) == 0.0
+    # at the limit, kriging from one sample that far away leaves exactly delta
+    # (up to kriging's 1e-10 jitter), whatever the field variance
+    for sigma2 in (0.5, 1.0, 2.0):
+        scaled = CovarianceSpec(sigma2=sigma2, nu=0.5, b=75.0)
+        for ratio in (0.05, 0.4, 0.9):
+            delta = ratio * sigma2
+            r = probe_radius_limit(scaled, delta)
+            _, mse = krige(ObservationSet([[0.0, 0.0]], [0.0]), [[r, 0.0]], scaled)
+            assert mse[0] == pytest.approx(delta, abs=1e-9)
     with pytest.raises(ValueError):
         probe_radius_limit(spec, 1.5)
+
+
+def test_budget_needs_exponential_covariance(geom20, radio, deployment, drone):
+    smooth = CovarianceSpec(sigma2=1.0, nu=1.5, b=75.0)
+    with pytest.raises(ValueError, match="nu = 0.5"):
+        probe_radius_limit(smooth, 0.2)
+    with pytest.raises(ValueError, match="nu = 0.5"):
+        estimation_slots(5.0, geom20, radio, smooth, 0.2)
+    with pytest.raises(ValueError, match="nu = 0.5"):
+        optimal_slots_estimation(geom20, radio, smooth, 0.2)
+    with pytest.raises(ValueError, match="nu = 0.5"):
+        plan_estimation(deployment, drone, radio, smooth, 0.2, m_range=[8])
 
 
 def test_optimal_slots_shape(geom20, radio, cov75):
@@ -485,10 +471,10 @@ def test_loose_target_needs_few_slots(geom20, radio, cov75):
     assert budget.j_star <= 3
 
 
-def test_infeasible_variance_raises(geom20, radio):
-    spec = CovarianceSpec(sigma2=2.0, nu=0.5, b=75.0)
+def test_infeasible_variance_raises(geom20, radio, cov75):
+    # a link that never transmits delivers no sample at any probe radius
     with pytest.raises(EstimationInfeasible):
-        optimal_slots_estimation(geom20, radio, spec, delta=0.1)
+        optimal_slots_estimation(geom20, radio.with_(aloha=0.0), cov75, delta=0.1)
 
 
 def test_estimation_slots_array_matches_scalar_calls(geom20, radio, cov75):
@@ -509,12 +495,22 @@ def test_nan_probe_radius_is_rejected_not_priced_infeasible(geom20, radio, cov75
         estimation_slots(5.0, geom20, radio, cov75, math.nan)
 
 
-def test_slot_count_meets_edge_mse_target_exactly(geom20, radio, cov75):
-    # estimation_slots inverts edge_mse_bound o no_success_probability
-    upper = probe_radius_limit(cov75, 0.2)
-    for r_mse in np.linspace(0.05, 0.99, 7) * upper:
-        j = estimation_slots(float(r_mse), geom20, radio, cov75, 0.2)
-        p_edge = edge_success_probability(geom20, radio, float(r_mse))
-        rho = area_ratio_rho(geom20.radius, float(r_mse))
-        p_ns = no_success_probability(p_edge, j, rho)
-        assert edge_mse_bound(p_ns, float(r_mse), cov75) == pytest.approx(0.2, rel=1e-12)
+def _edge_mse_bound(p_edge, slots, rho, r_mse, spec):
+    """The budget's forward form: the edge MSE that ``slots`` slots leave."""
+    p_ns = (1.0 - p_edge) ** (slots / rho)
+    one_sample = spec.sigma2 * (1.0 - math.exp(-2.0 * r_mse / spec.b))
+    return spec.sigma2 * p_ns + (1.0 - p_ns) * one_sample
+
+
+def test_slot_count_meets_edge_mse_target_exactly(geom20, radio):
+    # estimation_slots inverts the forward bound, at any field variance
+    for sigma2 in (0.5, 1.0, 2.0):
+        spec = CovarianceSpec(sigma2=sigma2, nu=0.5, b=75.0)
+        delta = 0.2 * sigma2
+        upper = probe_radius_limit(spec, delta)
+        for r_mse in np.linspace(0.05, 0.99, 7) * upper:
+            j = estimation_slots(float(r_mse), geom20, radio, spec, delta)
+            p_edge = edge_success_probability(geom20, radio, float(r_mse))
+            rho = area_ratio_rho(geom20.radius, float(r_mse))
+            bound = _edge_mse_bound(p_edge, j, rho, float(r_mse), spec)
+            assert bound == pytest.approx(delta, rel=1e-12)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from fieldhopper.field import CovarianceSpec
 from fieldhopper.mission import (
     FieldSpec,
     multi_uav_total,
@@ -141,6 +142,19 @@ def test_estimation_records_budget_fields(deployment, drone, radio, cov75, table
     assert rec.rho is not None and 0.0 < rec.rho <= 1.0
     assert rec.slots_per_hl == int(rec.slots_per_hl) >= 1
     assert rec.hover_per_hl > 0.0
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0, 4.0])
+def test_estimation_plan_reads_delta_over_sigma2_only(k, deployment, drone, radio, cov75,
+                                                      table):
+    # scaling sigma2 and delta by a power of two is exact, so the plans agree
+    # bit for bit
+    def plan(spec, delta):
+        return plan_estimation(deployment, drone, radio, spec, delta,
+                               m_range=range(8, 11), table=table).to_dict()
+
+    scaled = CovarianceSpec(sigma2=k * cov75.sigma2, nu=cov75.nu, b=cov75.b)
+    assert plan(scaled, k * 0.2) == plan(cov75, 0.2)
 
 
 def test_multi_uav_total_reduces_to_single(drone, table):

@@ -23,13 +23,12 @@ EXPORTS = {
     "HoverGeometry", "MissionReport", "MseBudget", "NormalizedCoverageTable",
     "ObservationSet", "OptimalBeta", "RadioSpec", "RunConfig", "SimConfig", "SimStats",
     "SquareRegion", "Tour", "area_ratio_rho", "covariance", "cover_radius",
-    "edge_mse_bound", "edge_success_probability", "estimate_plan_edge_mse",
+    "edge_success_probability", "estimate_plan_edge_mse",
     "estimate_success_probability", "fit_alpha", "hop_time", "hover_time_aggregation",
-    "krige", "load_config", "multi_uav_total", "no_success_probability",
-    "optimal_aloha", "optimal_beta", "optimal_slots_estimation", "plan_aggregation",
-    "plan_estimation", "sample_field", "sample_ppp", "slot_duration",
-    "solve_minmax_mdmtsp", "solve_tsp", "success_probability", "travel_time",
-    "travel_time_approx",
+    "krige", "load_config", "multi_uav_total", "optimal_aloha", "optimal_beta",
+    "optimal_slots_estimation", "plan_aggregation", "plan_estimation", "sample_field",
+    "sample_ppp", "slot_duration", "solve_minmax_mdmtsp", "solve_tsp",
+    "success_probability", "travel_time", "travel_time_approx",
 }
 
 ROOT = Path(__file__).resolve().parents[1]
