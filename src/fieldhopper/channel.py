@@ -47,7 +47,6 @@ __all__ = [
     "HoverGeometry",
     "success_probability",
     "edge_success_probability",
-    "theta_lens",
     "optimal_aloha",
     "optimal_beta",
     "OptimalBeta",
@@ -334,26 +333,6 @@ def _lens_angle(w, near, cover_radius, probe_radius):
     minus = np.where(beyond, far, near) * (probe_radius + cover_radius - w)
     plus = np.where(beyond, near, far) * (w + cover_radius + probe_radius)
     return 4.0 * np.arctan2(np.sqrt(minus), np.sqrt(plus))
-
-
-def theta_lens(w, cover_radius: float, probe_radius: float):
-    """Angle subtended inside the edge probe disk at in-disk radius ``w``.
-
-    The probe disk of radius ``probe_radius`` is centered on the boundary of
-    the covered disk (radius ``cover_radius``); a circle of radius ``w``
-    around the disk center intersects it over this angle.
-    """
-    w = np.asarray(w, dtype=float)
-    out = np.zeros_like(w)
-    inner = probe_radius - cover_radius
-    if inner > 0:
-        out = np.where(w <= inner, 2.0 * math.pi, out)
-    lo, hi = abs(inner), probe_radius + cover_radius
-    band = (w >= lo) & (w <= hi) & (w > 0)
-    if np.any(band):
-        wb = w[band]
-        out[band] = _lens_angle(wb, wb - lo, cover_radius, probe_radius)
-    return out
 
 
 def edge_success_probability(geom: HoverGeometry, radio: RadioSpec, r_mse):

@@ -29,6 +29,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .channel import (
 from .config import ConfigError, RunConfig, load_config
 from .covering import MissingRowError, NormalizedCoverageTable, fit_alpha
 from .field import EstimationInfeasible
-from .mission import FieldSpec, plan_aggregation, plan_estimation
+from .mission import MissionReport, plan_aggregation, plan_estimation
 from .simkit import SimConfig, estimate_success_probability
 
 EXIT_OK = 0
@@ -95,29 +96,34 @@ def _check_positive(**options: float | None) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = {}
-    for attr in ("mission", "seed", "label", "zeta", "delta", "uavs", "restarts"):
-        v = getattr(args, attr, None)
-        if v is not None:
-            overrides[attr] = v
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
-    if getattr(args, "table", None):
-        overrides["table_path"] = args.table
-    if getattr(args, "m_max", None) is not None:
-        overrides["m_max"] = args.m_max
-    if getattr(args, "m_min", None) is not None:
-        overrides["m_min"] = args.m_min
-    if getattr(args, "fixed_beta", None) is not None:
-        overrides["beta"] = args.fixed_beta
-    if getattr(args, "fixed_a", None) is not None:
-        overrides["aloha"] = args.fixed_a
-    if getattr(args, "paper_literal_kinematics", False):
-        overrides["paper_literal_kinematics"] = True
-    cfg = cfg.with_(**overrides)
+    """The config file (or the defaults), overridden by every given option.
+
+    Options parse straight into the ``RunConfig`` field they set; one that is
+    absent reads ``None`` and leaves the file's value.
+    """
+    cfg = load_config(args.config) if args.config else RunConfig()
+    names = {f.name for f in fields(RunConfig)}
+    cfg = cfg.with_(**{k: v for k, v in vars(args).items() if k in names and v is not None})
     cfg.validate()
     return cfg
+
+
+def _path(text: str) -> str | None:
+    """An option path; an empty one leaves the configured path."""
+    return text or None
+
+
+def _plan_mission(cfg: RunConfig, table: NormalizedCoverageTable) -> MissionReport:
+    """Plan ``cfg``'s mission and fleet over ``cfg``'s field."""
+    common = dict(
+        m_range=range(cfg.m_min, cfg.m_max + 1), k=cfg.uavs, depots=cfg.depots, table=table,
+        fixed_beta=cfg.beta, fixed_aloha=cfg.aloha, seed=cfg.seed,
+    )
+    if cfg.mission == "aggregation":
+        return plan_aggregation(cfg.field(), cfg.drone(), cfg.radio(), cfg.zeta, **common)
+    return plan_estimation(
+        cfg.field(), cfg.drone(), cfg.radio(), cfg.covariance(), cfg.delta, **common
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +147,7 @@ def cmd_coverage_table(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    table = load_table(cfg)
-    m_range = range(cfg.m_min, cfg.m_max + 1)
-    common = dict(
-        m_range=m_range, k=cfg.uavs, depots=cfg.depots, table=table,
-        fixed_beta=cfg.beta, fixed_aloha=cfg.aloha, seed=cfg.seed,
-    )
-    if cfg.mission == "aggregation":
-        report = plan_aggregation(cfg.field(), cfg.drone(), cfg.radio(), cfg.zeta, **common)
-    else:
-        report = plan_estimation(
-            cfg.field(), cfg.drone(), cfg.radio(), cfg.covariance(), cfg.delta, **common
-        )
+    report = _plan_mission(cfg, load_table(cfg))
     out = _out_dir(cfg, "plan")
     payload = report.to_dict()
     payload["config"] = cfg.to_dict()
@@ -238,12 +233,7 @@ def _sweep_probe_radius(cfg, geom, value):
 
 
 def _sweep_area(cfg, geom, value, table):
-    best = plan_aggregation(
-        FieldSpec(side=value, density=cfg.density),
-        cfg.drone(), cfg.radio(), cfg.zeta,
-        m_range=range(cfg.m_min, cfg.m_max + 1), table=table,
-        fixed_beta=cfg.beta, fixed_aloha=cfg.aloha, seed=cfg.seed,
-    ).best
+    best = _plan_mission(cfg.with_(side=value), table).best
     return "side,best_m,T_total", (value, best.m, best.total), None
 
 
@@ -363,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", help="output root directory")
+        p.add_argument("--out", dest="out_dir", type=_path, help="output root directory")
         p.add_argument("--label", help="output subdirectory name (default: digest of the inputs)")
 
     p = sub.add_parser("coverage-table", help="build the normalized covering table")
@@ -375,21 +365,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="plan a mission")
     add_common(p)
-    p.add_argument("--table", help="coverage table CSV (default: packaged)")
+    p.add_argument("--table", dest="table_path", type=_path,
+                   help="coverage table CSV (default: packaged)")
     p.add_argument("--mission", choices=("aggregation", "estimation"), default=None)
     p.add_argument("--zeta", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--uavs", "-K", type=int, default=None)
     p.add_argument("--m-min", type=int, default=None)
     p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--fixed-beta", type=float, default=None)
-    p.add_argument("--fixed-a", type=float, default=None)
-    p.add_argument("--paper-literal-kinematics", action="store_true")
+    p.add_argument("--fixed-beta", dest="beta", type=float, default=None)
+    p.add_argument("--fixed-a", dest="aloha", type=float, default=None)
+    p.add_argument("--paper-literal-kinematics", action="store_const", const=True, default=None)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("sweep", help="sweep one parameter")
     add_common(p)
-    p.add_argument("--table", help="coverage table CSV (default: packaged)")
+    p.add_argument("--table", dest="table_path", type=_path,
+                   help="coverage table CSV (default: packaged)")
     p.add_argument("--axis", choices=tuple(_SWEEP_AXES), required=True)
     p.add_argument("--grid", required=True, help="lo:hi:n")
     p.add_argument("--radius", type=float, default=20.0, help="hover radius for link sweeps")
@@ -409,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-alpha", help="fit sqrt(c*M)+d to the table")
     add_common(p)
-    p.add_argument("--table", help="coverage table CSV (default: packaged)")
+    p.add_argument("--table", dest="table_path", type=_path,
+                   help="coverage table CSV (default: packaged)")
     p.set_defaults(func=cmd_fit_alpha)
 
     return parser

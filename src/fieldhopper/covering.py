@@ -6,10 +6,11 @@ relocates to the center of the minimum enclosing circle of its cell, and the
 configuration radius is the largest cell vertex distance.  Both quantities
 are exact for a given configuration, so no evaluation grid is involved.
 Multistart (structured grids plus random layouts) with small perturbation
-kicks escapes poor local optima.  The starts descend together: one array
-pass clips the cells of every start for each relocation step.  Each start
-draws its random numbers from its own stream spawned from the seed, so the
-batch gives what solving one start at a time would.
+kicks escapes poor local optima.  The starts descend together, one kick
+phase at a time: one array pass clips the cells of every start for each
+relocation step.  Each start draws its random numbers from its own stream
+spawned from the seed, so the batch gives what solving one start at a time
+would.
 
 Results are always computed on the unit square and scaled, so plans for
 different field sizes are exactly similar.  A normalized table of covering
@@ -164,76 +165,70 @@ KICK_SCALES = (0.3, 0.15, 0.08, 0.04)
 MAX_ITER = 120
 
 
-def _descend_starts(starts: np.ndarray, rngs: list[np.random.Generator]) -> list[tuple[float, np.ndarray]]:
-    """Descend, kick and re-descend every start of a (B, M, 2) batch.
+def _descend(layouts: np.ndarray, rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """Relocate every layout of a (B, M, 2) batch until it stops moving.
 
-    A descent relocates each center to the minimum enclosing circle of its
-    Voronoi cell until no center moves by 1e-10 or MAX_ITER steps pass, and
-    keeps the best layout it saw, the final one included.  Each start is then
-    kicked once per KICK_SCALES entry by a normal of standard deviation
-    ``scale * radius``, and keeps a kicked descent that lowers its radius.
-    Each pass advances every running start by one step; a start whose descent
-    has ended takes its next kick in the same pass, so starts run out of phase.
-
-    Start k draws its reseeds and kicks from ``rngs[k]`` alone, in the order
-    it needs them, so a batch gives what B one-start calls give.  Returns the
-    (radius, centers) of every start, in start order.
+    Each step moves every center to the center of the minimum enclosing
+    circle of its Voronoi cell.  A layout stops once no center moves by 1e-10
+    or after MAX_ITER steps, and its final layout is measured too.  Returns
+    each layout's best radius and the layout that reached it.
     """
-    b, m, _ = starts.shape
-    n_kicks = len(KICK_SCALES)
-    cur = starts.copy()
+    b, m, _ = layouts.shape
+    cur = layouts.copy()
     best_r, best_c = np.full(b, math.inf), cur.copy()
-    r, c = np.full(b, math.inf), cur.copy()
-    steps = np.zeros(b, dtype=int)
-    phase = np.zeros(b, dtype=int)
-    ending = np.zeros(b, dtype=bool)
-    done = np.zeros(b, dtype=bool)
-    while not done.all():
-        lanes = np.flatnonzero(~done)
+    lanes = np.arange(b)  # the layouts measured in this pass
+    moving = np.ones(b, dtype=bool)  # which of them take another step
+    for step in range(MAX_ITER + 1):
         verts, count = _voronoi(cur[lanes])
         radius = _radii(cur[lanes], verts, count)
         better = radius < best_r[lanes]
         best_r[lanes[better]] = radius[better]
         best_c[lanes[better]] = cur[lanes[better]]
-
-        # one relocation step of every start still descending.  Reseeds are
-        # not rare: at M=8 the descents of the ring start and of one
-        # square-contour start put two centers on one point after seven
-        # relocation steps.  Their bisector reads 0 <= c with c a rounding
-        # residue (-5.6e-17), which clips both cells to nothing.  Such a cell
-        # has no circle to move to, so its center is reseeded with two
-        # uniforms from its start's stream.
-        moving = np.flatnonzero(~ending[lanes])
-        fin = lanes[ending[lanes]]
-        rows = (moving[:, None] * m + np.arange(m)).ravel()
+        rows = (np.flatnonzero(moving)[:, None] * m + np.arange(m)).ravel()
+        lanes = lanes[moving]
+        if not lanes.size:
+            break
+        # one relocation step of every layout still moving.  Reseeds are not
+        # rare: at M=8 the descents of the ring start and of one square-contour
+        # start put two centers on one point after seven relocation steps.
+        # Their bisector reads 0 <= c with c a rounding residue (-5.6e-17),
+        # which clips both cells to nothing.  Such a cell has no circle to move
+        # to, so its center is reseeded with two uniforms from its layout's
+        # stream.
         moved = []
-        for row, cell, size in zip(rows.tolist(), verts[rows].tolist(), count[rows].tolist()):
+        for k, (cell, size) in enumerate(zip(verts[rows].tolist(), count[rows].tolist())):
             if size < 3:
-                moved.append(rngs[lanes[row // m]].random(2))
+                moved.append(rngs[lanes[k // m]].random(2))
                 continue
             x, y = _mec_center(cell[:size])
             moved.append((min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0)))
-        step = lanes[moving]
         new = np.array(moved).reshape(-1, m, 2)
-        still = np.abs(new - cur[step]).max(axis=(1, 2)) < 1e-10
-        cur[step] = new
-        steps[step] += 1
-        ending[step] = still | (steps[step] == MAX_ITER)
+        still = np.abs(new - cur[lanes]).max(axis=(1, 2)) < 1e-10
+        moving = ~still & (step + 1 < MAX_ITER)
+        cur[lanes] = new
+    return best_r, best_c
 
-        # descents whose final layout was just measured: keep the best, then kick
-        improved = fin[best_r[fin] < r[fin]]
-        r[improved], c[improved] = best_r[improved], best_c[improved]
-        done[fin[phase[fin] == n_kicks]] = True
-        fin = fin[phase[fin] < n_kicks]
-        if fin.size:
-            scale = np.array(KICK_SCALES)[phase[fin]] * r[fin]
-            kicks = [rngs[k].normal(0.0, s, (m, 2)) for k, s in zip(fin.tolist(), scale.tolist())]
-            cur[fin] = np.clip(c[fin] + np.array(kicks), 0.0, 1.0)
-            best_r[fin] = math.inf
-            steps[fin] = 0
-            phase[fin] += 1
-            ending[fin] = False
-    return [(float(r[k]), c[k].copy()) for k in range(b)]
+
+def _descend_starts(starts: np.ndarray, rngs: list[np.random.Generator]) -> list[tuple[float, np.ndarray]]:
+    """Descend, kick and re-descend every start of a (B, M, 2) batch.
+
+    The starts descend together, one kick phase at a time.  After the first
+    descent, each start's best layout is kicked once per KICK_SCALES entry by
+    a normal of standard deviation ``scale * radius`` and descends again; a
+    kicked descent that lowers the start's radius replaces its best layout.
+
+    Start k draws its reseeds and kicks from ``rngs[k]`` alone, in the order
+    it needs them, so a batch gives what B one-start calls give.  Returns the
+    (radius, centers) of every start, in start order.
+    """
+    m = starts.shape[1]
+    r, c = _descend(starts, rngs)
+    for scale in KICK_SCALES:
+        kicks = [rng.normal(0.0, scale * rk, (m, 2)) for rng, rk in zip(rngs, r.tolist())]
+        kicked_r, kicked_c = _descend(np.clip(c + np.array(kicks), 0.0, 1.0), rngs)
+        better = kicked_r < r
+        r[better], c[better] = kicked_r[better], kicked_c[better]
+    return [(float(r[k]), c[k].copy()) for k in range(len(r))]
 
 
 def _grid_starts(m: int) -> list[np.ndarray]:
@@ -309,10 +304,9 @@ def _starts(m: int, seed: int, restarts: int) -> tuple[np.ndarray, list[np.rando
     """The structured layouts, then random ones up to ``restarts``, and one
     stream per start spawned from ``seed``; random start k is drawn from its own."""
     structured = _grid_starts(m) + _row_starts(m) + _ring_starts(m) + _square_ring_starts(m)
-    starts = [s for s in structured if len(s) == m]
-    streams = np.random.SeedSequence(seed).spawn(max(restarts, len(starts)))
+    streams = np.random.SeedSequence(seed).spawn(max(restarts, len(structured)))
     rngs = [np.random.default_rng(stream) for stream in streams]
-    starts += [rng.random((m, 2)) for rng in rngs[len(starts):]]
+    starts = structured + [rng.random((m, 2)) for rng in rngs[len(structured):]]
     return np.array(starts, dtype=float), rngs
 
 

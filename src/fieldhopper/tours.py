@@ -162,8 +162,9 @@ def solve_tsp(centers: np.ndarray, depot: Sequence[float]) -> Tour:
     """Shortest closed route visiting every center, from and to the depot.
 
     Exact for up to 15 centers; otherwise nearest-neighbor plus 2-opt from
-    ten different first moves.  A depot coinciding with a center is treated
-    as that center rather than inserted as an extra node.
+    ten different first moves.  The tour runs over one node list whose node 0
+    is the depot: a center within 1e-12 of it stands for the depot, otherwise
+    the depot is an extra node.  A lone center at the depot has no hops.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if len(centers) < 1:
@@ -171,31 +172,17 @@ def solve_tsp(centers: np.ndarray, depot: Sequence[float]) -> Tour:
     depot = np.asarray(depot, dtype=float)
     d_to_centers = np.sqrt(((centers - depot) ** 2).sum(axis=1))
     depot_idx = int(np.argmin(d_to_centers))
-    depot_is_center = d_to_centers[depot_idx] <= 1e-12
-
-    if len(centers) == 1:
-        if depot_is_center:
-            return Tour(order=(0,), hop_distances=(), depot=tuple(depot))
-        leg = float(d_to_centers[0])
-        return Tour(order=(0,), hop_distances=(leg, leg), depot=tuple(depot))
-
-    if depot_is_center:
-        nodes = np.vstack([centers[depot_idx], np.delete(centers, depot_idx, axis=0)])
-        relabel = [depot_idx] + [i for i in range(len(centers)) if i != depot_idx]
-        node_order, _ = _closed_tour(nodes)
-        order = tuple(relabel[i] for i in node_order)
-        pts = centers[list(order)]
-        hops = tuple(
-            float(np.linalg.norm(pts[(i + 1) % len(pts)] - pts[i]))
-            for i in range(len(pts))
-        )
-        return Tour(order=order, hop_distances=hops, depot=tuple(depot))
-
-    nodes = np.vstack([depot[None, :], centers])
+    if d_to_centers[depot_idx] <= 1e-12:
+        labels = [depot_idx] + [i for i in range(len(centers)) if i != depot_idx]
+    else:
+        labels = [-1, *range(len(centers))]  # -1: the depot itself
+    if len(labels) == 1:  # a lone center at the depot is never left
+        return Tour(order=(0,), hop_distances=(), depot=tuple(depot))
+    nodes = np.array([depot if i < 0 else centers[i] for i in labels])
     node_order, _ = _closed_tour(nodes)
-    order = tuple(i - 1 for i in node_order[1:])
-    pts = np.vstack([depot, centers[list(order)], depot])
-    hops = tuple(float(np.linalg.norm(pts[i + 1] - pts[i])) for i in range(len(pts) - 1))
+    pts = nodes[node_order + [0]]
+    hops = tuple(float(np.linalg.norm(b - a)) for a, b in zip(pts[:-1], pts[1:]))
+    order = tuple(labels[i] for i in node_order if labels[i] >= 0)
     return Tour(order=order, hop_distances=hops, depot=tuple(depot))
 
 

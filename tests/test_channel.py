@@ -20,12 +20,32 @@ from fieldhopper.channel import (
     optimal_beta,
     slot_duration,
     success_probability,
-    theta_lens,
     tuned_link,
 )
 from fieldhopper.field import PROBE_GRID, optimal_slots_estimation, probe_radius_limit
 
 from conftest import REFERENCE_RTOL, reference_lens_quad, reference_quad
+
+
+def theta_lens(w, cover_radius: float, probe_radius: float):
+    """Angle subtended inside the edge probe disk at in-disk radius ``w``.
+
+    The probe disk of radius ``probe_radius`` is centered on the boundary of
+    the covered disk (radius ``cover_radius``); a circle of radius ``w``
+    around the disk center intersects it over this angle.  A reference: the
+    lens band goes through ``channel._lens_angle``, the edge rule's own angle.
+    """
+    w = np.asarray(w, dtype=float)
+    out = np.zeros_like(w)
+    inner = probe_radius - cover_radius
+    if inner > 0:
+        out = np.where(w <= inner, 2.0 * math.pi, out)
+    lo, hi = abs(inner), probe_radius + cover_radius
+    band = (w >= lo) & (w <= hi) & (w > 0)
+    if np.any(band):
+        wb = w[band]
+        out[band] = channel._lens_angle(wb, wb - lo, cover_radius, probe_radius)
+    return out
 
 
 def laplace_derivatives(s, geom, radio, max_order):

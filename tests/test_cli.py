@@ -211,6 +211,19 @@ def test_sweep_area_plans_each_side(tmp_path):
         assert line == ",".join(repr(float(v)) for v in (side, best.m, best.total))
 
 
+def test_sweep_area_plans_the_configured_mission_and_fleet(tmp_path):
+    # the sweep row at the configured side is plan's best mission: an
+    # estimation plan with two UAVs, not a one-UAV aggregation plan
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mission = estimation\nuavs = 2\nm_min = 8\nm_max = 10\n")
+    common = ["--config", str(cfg), "--out", str(tmp_path), "--label", "x"]
+    assert run(["plan", *common]) == 0
+    best = json.loads((tmp_path / "plan" / "x" / "report.json").read_text())["best"]
+    assert run(["sweep", "--axis", "area", "--grid", "100:100:1", *common]) == 0
+    lines = (tmp_path / "sweep" / "x" / "sweep.csv").read_text().splitlines()
+    assert lines[2:] == [",".join(repr(float(v)) for v in (100.0, best["M"], best["total_s"]))]
+
+
 def test_sweep_area_with_a_missing_table_exits_as_usage_error(tmp_path, capsys,
                                                               covering_solves):
     cfg = tmp_path / "run.cfg"

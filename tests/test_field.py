@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from fieldhopper.channel import edge_success_probability, theta_lens
+from fieldhopper.channel import edge_success_probability
 from fieldhopper.field import (
     CovarianceSpec,
     DegenerateObservations,
@@ -25,6 +25,7 @@ from fieldhopper.field import (
 from fieldhopper.mission import plan_estimation
 
 from conftest import REFERENCE_RTOL, reference_lens_quad
+from test_channel import theta_lens
 
 
 def lens_area(cover_r: float, probe_r: float) -> float:

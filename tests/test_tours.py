@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -140,6 +141,31 @@ def test_heuristic_regime_not_worse_than_nearest_neighbor(rng):
     nn_len = tour_length(dist, nearest_neighbor(dist))
     assert tour.total_distance <= nn_len + 1e-9
     assert sorted(tour.order) == list(range(18))
+
+
+# sha256 of every tour's order (little-endian int64) and hops (little-endian
+# float64) through the packaged rows M = 1..24 on a 100 m field, M in
+# increasing order.  M <= 15 runs the exact solver and M >= 16 the heuristic.
+# The depot () is the row's first center, a depot on a stop; the others are
+# apart.  Recorded while the depot-on-a-center and depot-apart tours were
+# still built by two separate branches; the one node list gives the same bits.
+TOUR_DIGESTS = {
+    (): "792645d8582b76ff0748352d0fb29d76ccdfd2e759af0d20ea1db9a070261a39",
+    (50.0, 50.0): "8503e034c450418441fc70a0463736daab612389bea42504a3c49f17f6703bbd",
+    (50.0, 0.0): "93158193297e87d2f30c85fe6550a4ec9f68b937c6133767ebbb7f4de5d2f616",
+}
+
+
+@pytest.mark.parametrize("depot", sorted(TOUR_DIGESTS),
+                         ids=lambda d: "{0:g}-{1:g}".format(*d) if d else "first-center")
+def test_tours_bit_identical(table, depot):
+    digest = hashlib.sha256()
+    for m in range(1, 25):
+        centers = table.centers(m) * 100.0
+        tour = solve_tsp(centers, depot or centers[0])
+        digest.update(np.asarray(tour.order, dtype="<i8").tobytes())
+        digest.update(np.asarray(tour.hop_distances, dtype="<f8").tobytes())
+    assert digest.hexdigest() == TOUR_DIGESTS[depot]
 
 
 def test_mdmtsp_single_vehicle_matches_tsp(rng):
