@@ -9,10 +9,8 @@ ground truth for every analytic expression.
 
 from .channel import (
     HoverGeometry,
-    OptimalBeta,
     RadioSpec,
     edge_success_probability,
-    hover_time_aggregation,
     optimal_aloha,
     optimal_beta,
     slot_duration,

@@ -49,10 +49,8 @@ __all__ = [
     "edge_success_probability",
     "optimal_aloha",
     "optimal_beta",
-    "OptimalBeta",
     "tuned_link",
     "slot_duration",
-    "hover_time_aggregation",
 ]
 
 BETA_MAX = 20.0  # upper end of every SINR-threshold search; the lower end is 1
@@ -78,18 +76,19 @@ class RadioSpec:
     aloha: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.power <= 0 or self.noise < 0:
-            raise ValueError("power must be positive and noise non-negative")
-        if self.eta <= 2:
-            raise ValueError("path-loss exponent must exceed 2")
+        # each check is written so that NaN fails it
+        if not (0 < self.power < math.inf and 0 <= self.noise < math.inf):
+            raise ValueError("power must be positive and noise non-negative, both finite")
+        if not 2 < self.eta < math.inf:
+            raise ValueError("path-loss exponent must exceed 2 and be finite")
         if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
             raise ValueError("Nakagami m must be a positive integer")
-        if self.beta < 1:
-            raise ValueError("SINR threshold must be at least 1")
+        if not 1 <= self.beta < math.inf:
+            raise ValueError("SINR threshold must be at least 1 and finite")
         if not 0.0 <= self.aloha <= 1.0:
             raise ValueError("ALOHA probability must lie in [0, 1]")
-        if self.bandwidth <= 0 or self.packet_bits <= 0:
-            raise ValueError("bandwidth and packet size must be positive")
+        if not (0 < self.bandwidth < math.inf and 0 < self.packet_bits < math.inf):
+            raise ValueError("bandwidth and packet size must be positive and finite")
 
     def with_(self, **kwargs) -> "RadioSpec":
         return replace(self, **kwargs)
@@ -376,7 +375,7 @@ def edge_success_probability(geom: HoverGeometry, radio: RadioSpec, r_mse):
 
 
 # ---------------------------------------------------------------------------
-# parameter optimization and hover time
+# parameter optimization and slot pricing
 
 def optimal_aloha(geom: HoverGeometry, radio: RadioSpec, tol: float = 1e-4) -> float:
     """Transmit probability maximizing the capture probability, capped at 1.
@@ -393,19 +392,12 @@ def optimal_aloha(geom: HoverGeometry, radio: RadioSpec, tol: float = 1e-4) -> f
     return a_star
 
 
-@dataclass(frozen=True)
-class OptimalBeta:
-    beta: float
-    aloha: float
-    objective: float  # success probability x spectral efficiency [bit/s/Hz]
-
-
 def optimal_beta(
     geom: HoverGeometry,
     radio: RadioSpec,
     optimize_a: bool = True,
-) -> OptimalBeta:
-    """SINR threshold minimizing hover time per collected sample.
+) -> RadioSpec:
+    """``radio`` at the SINR threshold minimizing hover time per collected sample.
 
     Hover time scales as 1/(P_s log2(1+beta)), so the search maximizes
     P_s log2(1+beta).  It runs on log beta over [1, BETA_MAX]; the transmit
@@ -429,9 +421,8 @@ def optimal_beta(
     # the capacity term grows without bound, so check the upper edge too
     edge_obj, edge_a = value(math.log(BETA_MAX))
     if edge_obj >= obj:
-        return OptimalBeta(beta=BETA_MAX, aloha=edge_a, objective=edge_obj)
-    obj, a = evaluated[log_best]
-    return OptimalBeta(beta=math.exp(log_best), aloha=a, objective=obj)
+        return radio.with_(beta=BETA_MAX, aloha=edge_a)
+    return radio.with_(beta=math.exp(log_best), aloha=evaluated[log_best][1])
 
 
 def tuned_link(
@@ -449,8 +440,7 @@ def tuned_link(
     """
     radio = radio.with_(**{k: v for k, v in (("beta", beta), ("aloha", aloha)) if v is not None})
     if beta is None:
-        best = optimal_beta(geom, radio, optimize_a=aloha is None)
-        return radio.with_(beta=best.beta, aloha=best.aloha)
+        return optimal_beta(geom, radio, optimize_a=aloha is None)
     if aloha is None:
         return radio.with_(aloha=optimal_aloha(geom, radio))
     return radio
@@ -466,14 +456,3 @@ def aggregation_slots(m: int, zeta: float, p_success: float) -> float:
     if p_success <= 0.0:
         return math.inf
     return zeta / (m * p_success)
-
-
-def hover_time_aggregation(
-    m: int, zeta: float, geom: HoverGeometry, radio: RadioSpec
-) -> float:
-    """Hover duration per location for the sample-collection mission.
-
-    Infinite (infeasible) when the capture probability is zero; not an error.
-    """
-    p = success_probability(geom, radio)
-    return aggregation_slots(m, zeta, p) * slot_duration(radio)

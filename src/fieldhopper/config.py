@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import units
 from .channel import RadioSpec
-from .field import CovarianceSpec
+from .field import CovarianceSpec, _check_budget
 from .kinematics import DroneSpec
 from .mission import FieldSpec
 
@@ -71,10 +71,11 @@ class RunConfig:
     label: str | None = None
 
     def validate(self) -> None:
-        """Raise :class:`ConfigError` for values outside the model."""
+        """Raise :class:`ConfigError` for values outside the model.  The four specs
+        own their fields' checks, so this builds them and adds what no spec knows."""
         if self.mission not in ("aggregation", "estimation"):
             raise ConfigError(f"unknown mission {self.mission!r}")
-        # NaN passes every `<= 0` check below, and no quantity of the model is infinite
+        # NaN passes a `<= 0` check such as zeta's, and no quantity of the model is infinite
         values = [(f.name, getattr(self, f.name)) for f in fields(self)]
         values += [("depots", v) for depot in self.depots or () for v in depot]
         for name, value in values:
@@ -82,21 +83,17 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.mission == "aggregation" and self.zeta <= 0:
             raise ConfigError("aggregation mission needs zeta > 0")
-        if self.mission == "estimation" and not 0 < self.delta < self.sigma2:
-            raise ConfigError("estimation mission needs 0 < delta < sigma2")
-        if self.mission == "estimation" and self.nu != 0.5:
-            raise ConfigError("estimation mission needs nu = 0.5 (exponential covariance)")
         if self.m_min < 1 or self.m_max < self.m_min:
             raise ConfigError("need 1 <= m_min <= m_max")
         if self.uavs < 1:
             raise ConfigError("need at least one UAV")
-        for name in ("side", "density", "power", "bandwidth", "packet_bits",
-                     "speed", "accel", "decel", "sigma2", "nu", "corr_range"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        if self.density <= 0:  # a FieldSpec allows an empty field
+            raise ConfigError("density must be positive")
         try:
             for build in (self.radio, self.drone, self.field, self.covariance):
                 build()
+            if self.mission == "estimation":
+                _check_budget(self.covariance(), self.delta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -189,13 +186,13 @@ def _parse_depots(text: str) -> list[tuple[float, float]] | None:
     return pts
 
 
-def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
-    """Read a key=value config file over the defaults (or over ``base``).
+def load_config(path: str | Path) -> RunConfig:
+    """Read a key=value config file over the defaults.
 
     Unreadable files, malformed lines, unknown keys and unparsable values
     raise :class:`ConfigError`.
     """
-    cfg = base or RunConfig()
+    cfg = RunConfig()
     try:
         text = Path(path).read_text()
     except OSError as exc:

@@ -343,7 +343,10 @@ class CoveragePlan:
 
 
 class MissingRowError(LookupError):
-    """A plan asked for an M that its covering table has no row for."""
+    """A plan asked for an M that its covering table has no row for; a mission
+    planner sets ``report`` to its report of the M it priced before."""
+
+    report = None
 
 
 @dataclass(frozen=True)
@@ -407,8 +410,6 @@ class NormalizedCoverageTable:
             tour = solve_tsp(centers, centers[0])
             scored.append((tour.total_distance, r, centers))
         alpha, delta, centers = min(scored, key=lambda s: s[0])
-        if m == 1:
-            alpha = 0.0
         return TableRow(m=m, delta=delta, alpha=alpha, centers=_canonical(centers))
 
     def plan(self, m: int, area_side: float) -> CoveragePlan:

@@ -66,8 +66,8 @@ class CovarianceSpec:
     b: float
 
     def __post_init__(self) -> None:
-        if self.sigma2 <= 0 or self.nu <= 0 or self.b <= 0:
-            raise ValueError("sigma2, nu and b must all be positive")
+        if not (0 < self.sigma2 < math.inf and 0 < self.nu < math.inf and 0 < self.b < math.inf):
+            raise ValueError("sigma2, nu and b must all be positive and finite")
 
 
 def covariance(spec: CovarianceSpec, dist):

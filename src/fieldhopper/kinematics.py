@@ -36,10 +36,10 @@ class DroneSpec:
     paper_literal: bool = False
 
     def __post_init__(self) -> None:
-        if self.speed <= 0 or self.accel <= 0 or self.decel <= 0:
-            raise ValueError("speed, accel and decel must be positive")
-        if self.reconf_time < 0:
-            raise ValueError("reconf_time must be non-negative")
+        if not all(0 < v < math.inf for v in (self.speed, self.accel, self.decel)):
+            raise ValueError("speed, accel and decel must be positive and finite")
+        if not 0 <= self.reconf_time < math.inf:
+            raise ValueError("reconf_time must be non-negative and finite")
         if not 0 < self.beamwidth < math.pi:
             raise ValueError("beamwidth must lie in (0, pi)")
 

@@ -28,7 +28,7 @@ from .channel import (
     success_probability,
     tuned_link,
 )
-from .covering import NormalizedCoverageTable
+from .covering import MissingRowError, NormalizedCoverageTable
 from .field import (
     CovarianceSpec,
     EstimationInfeasible,
@@ -60,8 +60,8 @@ class FieldSpec:
     density: float
 
     def __post_init__(self) -> None:
-        if self.side <= 0 or self.density < 0:
-            raise ValueError("side must be positive and density non-negative")
+        if not (0 < self.side < math.inf and 0 <= self.density < math.inf):
+            raise ValueError("side must be positive and density non-negative, both finite")
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,8 @@ def _plan(
     """The M sweep both missions share; they differ only in ``price(m, geom)``,
     which returns the record's link and hover fields, with ``feasible=False``
     when the hover target cannot be met (travel is then not priced).  With no
-    ``table`` the layouts come from the packaged one.
+    ``table`` the layouts come from the packaged one; an M past its last row
+    raises :class:`MissingRowError` carrying the report of the M before it.
     """
     table = table if table is not None else NormalizedCoverageTable.packaged()
     if depots is None:
@@ -226,7 +227,11 @@ def _plan(
     for m in m_range:
         if k > m:
             continue
-        plan = table.plan(m, field.side)
+        try:
+            plan = table.plan(m, field.side)
+        except MissingRowError as exc:
+            exc.report = report
+            raise
         altitude = drone.altitude_for_radius(plan.radius)
         hover_fields = price(m, HoverGeometry(plan.radius, altitude, field.density))
         record = MissionRecord(
@@ -271,7 +276,7 @@ def plan_aggregation(
         link = tuned_link(geom, radio, fixed_beta, fixed_aloha)
         p = success_probability(geom, link)
         slots = aggregation_slots(m, zeta, p)
-        hover = slots * slot_duration(link) if math.isfinite(slots) else math.inf
+        hover = slots * slot_duration(link)
         return dict(beta=link.beta, aloha=link.aloha, p_success=p,
                     slots_per_hl=slots, hover_per_hl=hover,
                     feasible=math.isfinite(hover))

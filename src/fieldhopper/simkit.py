@@ -89,6 +89,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.slots < 1 or self.replications < 1:
             raise ValueError("slots and replications must both be at least 1")
+        if self.probe_radius is not None and not 0 < self.probe_radius < math.inf:
+            raise ValueError("probe radius must be positive and finite")
 
 
 @dataclass

@@ -56,8 +56,6 @@ def held_karp(dist: np.ndarray) -> tuple[list[int], float]:
     n = dist.shape[0]
     if n == 1:
         return [0], 0.0
-    if n == 2:
-        return [0, 1], float(dist[0, 1] + dist[1, 0])
     m = n - 1  # nodes 1..n-1 relative to the start node
     size = 1 << m
     sub = dist[1:, 1:]

@@ -14,8 +14,8 @@ from fieldhopper import channel
 from fieldhopper.channel import (
     HoverGeometry,
     RadioSpec,
+    aggregation_slots,
     edge_success_probability,
-    hover_time_aggregation,
     optimal_aloha,
     optimal_beta,
     slot_duration,
@@ -225,18 +225,16 @@ def test_optimal_beta_unimodal_neighborhood(geom20, radio):
         a = optimal_aloha(geom20, trial)
         return success_probability(geom20, trial.with_(aloha=a)) * math.log2(1 + beta)
 
-    assert best.objective >= objective(max(best.beta / 1.5, 1.0)) - 1e-3
-    assert best.objective >= objective(min(best.beta * 1.5, 20.0)) - 1e-3
+    best_objective = success_probability(geom20, best) * math.log2(1 + best.beta)
+    assert best_objective >= objective(max(best.beta / 1.5, 1.0)) - 1e-3
+    assert best_objective >= objective(min(best.beta * 1.5, 20.0)) - 1e-3
 
 
 def test_optimal_beta_reports_its_search_point(geom20, radio):
     best = optimal_beta(geom20, radio, optimize_a=True)
     trial = radio.with_(beta=best.beta)
-    aloha = optimal_aloha(geom20, trial, tol=1e-3)
-    assert best.aloha == aloha
-    assert best.objective == (
-        success_probability(geom20, trial.with_(aloha=aloha)) * math.log2(1.0 + best.beta)
-    )
+    # the returned link is the search point itself, so its objective is the one searched
+    assert best == trial.with_(aloha=optimal_aloha(geom20, trial, tol=1e-3))
 
 
 def test_optimal_beta_constant_success_goes_to_cap(geom20, radio, monkeypatch):
@@ -253,9 +251,8 @@ def test_tuned_link_applies_given_values_before_tuning_free_ones(geom20, radio):
     fixed = radio.with_(aloha=5e-4)
     best = optimal_beta(geom20, fixed, optimize_a=False)
     assert best.beta != optimal_beta(geom20, radio, optimize_a=False).beta
-    assert tuned_link(geom20, radio, None, 5e-4) == fixed.with_(beta=best.beta)
-    best = optimal_beta(geom20, radio, optimize_a=True)
-    assert tuned_link(geom20, radio, None, None) == radio.with_(beta=best.beta, aloha=best.aloha)
+    assert tuned_link(geom20, radio, None, 5e-4) == best == fixed.with_(beta=best.beta)
+    assert tuned_link(geom20, radio, None, None) == optimal_beta(geom20, radio)
 
 
 def test_theta_lens_regions():
@@ -295,15 +292,17 @@ def test_slot_duration_reference(radio):
     assert slot_duration(radio.with_(beta=1.0)) == pytest.approx(0.2048)
 
 
-def test_hover_time_unit_case(geom20, radio, monkeypatch):
-    monkeypatch.setattr(channel, "success_probability", lambda g, r: 1.0)
+def test_hover_time_unit_case(radio):
+    # a slot that always delivers collects zeta/M = 1 sample in one slot
     m = 4
-    t = channel.hover_time_aggregation(m, float(m), geom20, radio)
+    t = aggregation_slots(m, float(m), 1.0) * slot_duration(radio)
     assert t == pytest.approx(slot_duration(radio))
 
 
 def test_hover_time_infeasible_is_infinite(geom20, radio):
-    assert math.isinf(hover_time_aggregation(3, 100.0, geom20, radio.with_(aloha=0.0)))
+    silent = radio.with_(aloha=0.0)
+    p = success_probability(geom20, silent)
+    assert math.isinf(aggregation_slots(3, 100.0, p) * slot_duration(silent))
 
 
 # (R, h): the reference disk, two more 90-degree disks, a wide flat disk and

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -121,6 +122,32 @@ def test_sweep_radius_hover_increases(tmp_path):
     assert all(b > a for a, b in zip(hover[:-1], hover[1:]))
 
 
+# sha256 of everything below the "# config=" stamp; both axes price hover
+# as aggregation slots x slot length
+SWEEP_DIGESTS = {
+    ("beta", "1:10:10"): "2f59c23bfa2082c215a6e091c643485e617a5c0db87148b03fb5f1b898f9748f",
+    ("R", "15:45:7"): "7dd18524ecfe09039ad56319d230a5d771e6248dd0cb7d1a3e1c19d355edf316",
+}
+
+
+@pytest.mark.parametrize("axis, grid", list(SWEEP_DIGESTS))
+def test_hover_sweeps_bit_identical(tmp_path, axis, grid):
+    assert run(["sweep", "--axis", axis, "--grid", grid, "--out", str(tmp_path),
+                "--label", "s"]) == 0
+    lines = (tmp_path / "sweep" / "s" / "sweep.csv").read_text().splitlines()
+    assert hashlib.sha256("\n".join(lines[1:]).encode()).hexdigest() == SWEEP_DIGESTS[axis, grid]
+
+
+def test_simulate_stats_bit_identical(tmp_path):
+    args = ["simulate", "--slots", "300", "--replications", "30", "--seed", "5",
+            "--probe-radius", "15", "--out", str(tmp_path), "--label", "s"]
+    assert run(args) == 0
+    payload = json.loads((tmp_path / "simulate" / "s" / "stats.json").read_text())
+    del payload["config"]  # it holds the output path
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == "e6372d8d46524b7cd4dc0b850c9234bb57a4afa5274ea69cad814b333a47b4bc"
+
+
 def test_simulate_pass_and_replay(tmp_path):
     args = ["simulate", "--slots", "400", "--replications", "60", "--seed", "21",
             "--out", str(tmp_path), "--label", "s"]
@@ -135,7 +162,7 @@ def test_simulate_pass_and_replay(tmp_path):
 def test_simulate_stats_at_unit_shape_match_gamma_draws(tmp_path, monkeypatch):
     # the default link is Rayleigh (m = 1): stats.json must be what the
     # Gamma(1) draws of the dense reference simulator give, byte for byte
-    args = ["simulate", "--slots", "300", "--replications", "8", "--seed", "23",
+    args = ["simulate", "--slots", "300", "--replications", "30", "--seed", "23",
             "--out", str(tmp_path), "--label", "m1"]
     stats = tmp_path / "simulate" / "m1" / "stats.json"
     run(args)
@@ -149,7 +176,7 @@ def test_simulate_stats_at_unit_shape_match_gamma_draws(tmp_path, monkeypatch):
 def test_simulate_uses_beamwidth_altitude(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("beamwidth_deg = 60\n")
-    code = run(["simulate", "--config", str(cfg), "--slots", "50", "--replications", "2",
+    code = run(["simulate", "--config", str(cfg), "--slots", "50", "--replications", "30",
                 "--out", str(tmp_path), "--label", "narrow"])
     assert code in (cli.EXIT_OK, cli.EXIT_MISMATCH)
     stats = json.loads((tmp_path / "simulate" / "narrow" / "stats.json").read_text())
@@ -315,6 +342,39 @@ def test_simulate_rejects_zero_replications(tmp_path):
     assert run(["simulate", "--replications", "0", "--out", str(tmp_path)]) == cli.EXIT_INFEASIBLE
 
 
+def test_simulate_needs_the_minimum_replications_before_any_slot(tmp_path, capsys, monkeypatch):
+    # with few replications the |z| <= 3 verdict fails far above its nominal rate
+    slots = []
+    monkeypatch.setattr(simkit, "_simulate_batch", lambda *args: slots.append(args))
+    code = run(["simulate", "--replications", str(cli._MIN_REPLICATIONS - 1),
+                "--out", str(tmp_path), "--label", "few"])
+    assert code == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert slots == []
+    assert not (tmp_path / "simulate").exists()
+
+
+def test_plan_past_the_table_writes_the_m_it_priced(tmp_path, capsys, covering_solves):
+    # M = 24 is the packaged table's last row: it is priced and written, M = 25 is
+    # still a usage error
+    code = run(["plan", "--mission", "estimation", "--m-min", "24", "--m-max", "26",
+                "--out", str(tmp_path), "--label", "past"])
+    assert code == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert covering_solves == []
+    assert run(["plan", "--mission", "estimation", "--m-min", "24", "--m-max", "24",
+                "--out", str(tmp_path), "--label", "last"]) == cli.EXIT_OK
+    # what a plan of M = 24 alone writes, but for the config block and its stamp
+    past, last = tmp_path / "plan" / "past", tmp_path / "plan" / "last"
+    reports = [json.loads((d / "report.json").read_text()) for d in (past, last)]
+    assert [r["M"] for r in reports[0]["records"]] == [24]
+    for report in reports:
+        del report["config"]
+    assert reports[0] == reports[1]
+    rows = [(d / "sweep.csv").read_text().splitlines()[1:] for d in (past, last)]
+    assert rows[0] == rows[1]
+
+
 @pytest.mark.parametrize("args", [
     ["simulate", "--slots", "0"],
     ["simulate", "--radius", "nan"],
@@ -358,7 +418,7 @@ codes = [cli.main(args + out) for args in (
     ["plan", "--m-min", "2", "--m-max", "2"],
     ["plan", "--mission", "estimation", "--m-min", "2", "--m-max", "2"],
     ["plan", "-K", "2", "--m-min", "3", "--m-max", "3"],
-    ["simulate", "--slots", "200", "--replications", "2"],
+    ["simulate", "--slots", "200", "--replications", "30"],
     ["sweep", "--axis", "beta", "--grid", "1:2:2"],
     ["fit-alpha"],
     ["coverage-table", "--m-max", "3", "--restarts", "4"],
@@ -381,7 +441,7 @@ def test_cli_commands_never_load_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     got = json.loads(proc.stdout.splitlines()[-1])
-    # a two-replication simulate runs to its verdict, which may be a mismatch
+    # a short simulate runs to its verdict, which may be a mismatch
     assert got["codes"][3] in (cli.EXIT_OK, cli.EXIT_MISMATCH)
     assert got["codes"][:3] + got["codes"][4:] == [cli.EXIT_OK] * 6
     assert got["after_cli"] == []
@@ -460,6 +520,27 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(zeta=0.0).validate()
     RunConfig().validate()
+
+
+# every float field of the four specs a RunConfig builds
+SPEC_FIELDS = [
+    (build, name)
+    for build, names in (
+        ("radio", ("power", "noise", "eta", "bandwidth", "packet_bits", "beta", "aloha")),
+        ("drone", ("speed", "accel", "decel", "reconf_time", "beamwidth")),
+        ("field", ("side", "density")),
+        ("covariance", ("sigma2", "nu", "b")),
+    )
+    for name in names
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("build, name", SPEC_FIELDS)
+def test_specs_reject_nan_and_inf(build, name, bad):
+    spec = getattr(RunConfig(), build)()
+    with pytest.raises(ValueError):
+        replace(spec, **{name: bad})
 
 
 def test_config_digest_stable():

@@ -21,10 +21,10 @@ import fieldhopper
 EXPORTS = {
     "AlphaFit", "CovarianceSpec", "CoveragePlan", "Disk", "DroneSpec", "FieldSpec",
     "HoverGeometry", "MissionReport", "MseBudget", "NormalizedCoverageTable",
-    "ObservationSet", "OptimalBeta", "RadioSpec", "RunConfig", "SimConfig", "SimStats",
+    "ObservationSet", "RadioSpec", "RunConfig", "SimConfig", "SimStats",
     "SquareRegion", "Tour", "area_ratio_rho", "covariance", "cover_radius",
     "edge_success_probability", "estimate_plan_edge_mse",
-    "estimate_success_probability", "fit_alpha", "hop_time", "hover_time_aggregation",
+    "estimate_success_probability", "fit_alpha", "hop_time",
     "krige", "load_config", "multi_uav_total", "optimal_aloha", "optimal_beta",
     "optimal_slots_estimation", "plan_aggregation", "plan_estimation", "sample_field",
     "sample_ppp", "slot_duration", "solve_minmax_mdmtsp", "solve_tsp",

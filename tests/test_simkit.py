@@ -13,6 +13,7 @@ from fieldhopper.simkit import (
     SLOT_CHUNK,
     Disk,
     SimConfig,
+    SimStats,
     SquareRegion,
     _collect_hover,
     _simulate_batch,
@@ -333,3 +334,17 @@ def test_sim_config_validation(geom20, radio):
         SimConfig(geom=geom20, radio=radio, slots=0)
     with pytest.raises(ValueError):
         SimConfig(geom=geom20, radio=radio, replications=0)
+
+
+@pytest.mark.parametrize("probe_radius", [-1.0, 0.0, math.nan, math.inf])
+def test_sim_config_rejects_a_bad_probe_radius(geom20, radio, probe_radius):
+    with pytest.raises(ValueError, match="probe radius"):
+        SimConfig(geom=geom20, radio=radio, probe_radius=probe_radius)
+
+
+def test_rate_se_of_one_replication_is_binomial():
+    # one replication has no spread of rates, so the error is sqrt(p (1 - p) / n)
+    assert SimStats._rate_se(np.array([25.0]), 100) == pytest.approx(
+        math.sqrt(0.25 * 0.75 / 100), rel=1e-15)
+    assert SimStats._rate_se(np.array([0.0]), 100) == 0.0
+    assert SimStats._rate_se(np.array([100.0]), 100) == 0.0
