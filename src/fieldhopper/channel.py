@@ -15,9 +15,13 @@ per geometry and link and cached, whose basis polynomials come from the
 product recurrence T_{n+j} = 2 T_n T_j - T_{n-j} rather than from cosines.
 The interpolant is built from interference integrals taken with the fixed
 Gauss rule of :mod:`fieldhopper.quadrature` (two 64-point panels on [h, d],
-checked against one).  The disk capture probability sums the kernel on
-fixed nodes whose interference values are cached per link too, so a
-transmit-probability trial costs one exponential per node.  The edge-lens
+checked against one), on a Chebyshev grid built once per degree.  The disk
+capture probability sums the kernel on fixed nodes whose interference values
+are cached per link too.  A link search does not rebuild the link per trial:
+:func:`_disk_trial` reads the nodes once per link and hoists -s N/P, the
+Gamma-tail factors and the weights, so a transmit-probability trial costs one
+exponential per node and one dot; :func:`success_probability` is one such
+trial, so a search and a direct call agree bit for bit.  The edge-lens
 capture probability evaluates the kernel on the lens nodes, and on the
 full-angle core nodes only when a probe disk reaches past the disk center.
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,25 +150,27 @@ def _q_derivative(j: int, s: np.ndarray, geom: HoverGeometry, m: int, eta: float
     return sign * rising * quadrature.integrate(f, h, d)
 
 
-def _laplace_from_q(
-    s: np.ndarray, q: Sequence[np.ndarray], geom: HoverGeometry, radio: RadioSpec
+def _exponent(
+    base: np.ndarray, q: Sequence[np.ndarray], area_rate: float, noise_ratio: float
 ) -> list[np.ndarray]:
-    """[L, L', ..., L^(k)] from the interference integrals q = [Q_0, ..., Q_0^(k)].
+    """[g, g', ..., g^(k)] of g = log L = -s N/P - 2 pi lambda a Q_0(s).
 
-    With g = log L = -s N/P - 2 pi lambda a Q_0(s), the transmit probability
-    and the noise enter only here, and L = exp(g) gives
-    L^(k) = sum_j C(k-1, j) g^(k-j) L^(j), which is exact.
+    ``base`` is -s N/P and ``area_rate`` is 2 pi lambda a, so the transmit
+    probability and the noise enter only here.
     """
-    noise_ratio = radio.noise / radio.power
-    area_rate = 2.0 * math.pi * geom.density * radio.aloha
-    g = [-s * noise_ratio - area_rate * q[0]]
+    g = [base - area_rate * q[0]]
     for j in range(1, len(q)):
         g_j = -area_rate * q[j]
         if j == 1:
             g_j = g_j - noise_ratio
         g.append(g_j)
+    return g
+
+
+def _laplace_from_g(g: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """[L, L', ..., L^(k)] from L = exp(g): L^(k) = sum_j C(k-1, j) g^(k-j) L^(j), exact."""
     ell = [np.exp(g[0])]
-    for k in range(1, len(q)):
+    for k in range(1, len(g)):
         acc = np.zeros_like(ell[0])
         for j in range(k):
             acc = acc + math.comb(k - 1, j) * g[k - j] * ell[j]
@@ -172,11 +178,31 @@ def _laplace_from_q(
     return ell
 
 
+def _laplace_from_q(
+    s: np.ndarray, q: Sequence[np.ndarray], geom: HoverGeometry, radio: RadioSpec
+) -> list[np.ndarray]:
+    """[L, L', ..., L^(k)] from the interference integrals q = [Q_0, ..., Q_0^(k)]."""
+    noise_ratio = radio.noise / radio.power
+    area_rate = 2.0 * math.pi * geom.density * radio.aloha
+    return _laplace_from_g(_exponent(-s * noise_ratio, q, area_rate, noise_ratio))
+
+
 # ---------------------------------------------------------------------------
 # capture probabilities
 
 _CHEB_DEGREES = (32, 64, 128, 256)
 _CHEB_TOL = 1e-13
+
+
+@functools.cache
+def _chebyshev_grid(deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev points of the first kind and their Vandermonde matrix at ``deg``,
+    built once per degree as ``chebyshev.chebinterpolate`` builds them per call."""
+    x = chebyshev.chebpts1(deg + 1)
+    vander = chebyshev.chebvander(x, deg)
+    for arr in (x, vander):
+        arr.flags.writeable = False
+    return x, vander
 
 
 @functools.lru_cache(maxsize=512)
@@ -201,7 +227,12 @@ def _interference_coefficients(
         return np.stack([s**j * _q_derivative(j, s, geom, m, eta) for j in range(m)], axis=-1)
 
     for deg in _CHEB_DEGREES:
-        coef = chebyshev.chebinterpolate(values, deg)
+        # chebinterpolate's arithmetic on the cached grid; the product with
+        # the transposed view, not a copy, keeps numpy's summation order
+        x, vander = _chebyshev_grid(deg)
+        coef = np.dot(vander.T, values(x))
+        coef[0] /= deg + 1
+        coef[1:] /= 0.5 * (deg + 1)
         tail = np.max(np.abs(coef[-4:]), axis=0)
         if np.all(tail <= _CHEB_TOL * np.max(np.abs(coef), axis=0)):
             break
@@ -263,28 +294,36 @@ def _interference_lookup(
     return s, q
 
 
-def _kernel_from_q(
-    s: np.ndarray, q: Sequence[np.ndarray], geom: HoverGeometry, radio: RadioSpec
-) -> np.ndarray:
-    """Per-transmitter capture probability (Gamma tail) from the interference integrals.
-
-    Equals sum_{k<m} ((-s)^k / k!) L^(k)(s) with s = m beta r^eta; every term
-    is non-negative because (-1)^k L^(k) = E[I^k exp(-sI)].
-    """
-    ell = _laplace_from_q(s, q, geom, radio)
-    total = np.zeros_like(s)
+def _tail_factors(s: np.ndarray, m: int) -> list[np.ndarray]:
+    """(-s)^k / k! for 0 < k < m, the Gamma-tail weights of L^(k); fixed by the link."""
+    factors = []
     fact = 1.0
-    for k in range(radio.m):
-        if k > 0:
-            fact *= k
-        total = total + ((-s) ** k / fact) * ell[k]
+    for k in range(1, m):
+        fact *= k
+        factors.append((-s) ** k / fact)
+    return factors
+
+
+def _gamma_tail(factors: Sequence[np.ndarray], ell: Sequence[np.ndarray]) -> np.ndarray:
+    """L + sum_{k>0} factors_k L^(k); every term is non-negative because
+    (-1)^k L^(k) = E[I^k exp(-sI)].
+
+    The sum starts at L itself: its factor (-s)^0 / 0! is exactly 1, and
+    L = exp(g) is never -0, so 0 + 1 L is L bit for bit.
+    """
+    total = ell[0]
+    for factor, ell_k in zip(factors, ell[1:]):
+        total = total + factor * ell_k
     return total
 
 
 def _capture_kernel(r: np.ndarray, geom: HoverGeometry, radio: RadioSpec) -> np.ndarray:
-    """Per-transmitter capture probability at slant range r."""
+    """Per-transmitter capture probability at slant range r.
+
+    The Gamma tail sum_{k<m} ((-s)^k / k!) L^(k)(s) with s = m beta r^eta.
+    """
     s, q = _interference_lookup(r, geom, radio.m, radio.eta, radio.beta)
-    return _kernel_from_q(s, q, geom, radio)
+    return _gamma_tail(_tail_factors(s, radio.m), _laplace_from_q(s, q, geom, radio))
 
 
 @functools.lru_cache(maxsize=512)
@@ -305,18 +344,42 @@ def _disk_nodes(
     return s, tuple(q), weight
 
 
+@functools.lru_cache(maxsize=1)
+def _disk_trial(geom: HoverGeometry, radio: RadioSpec) -> Callable[[float], float]:
+    """a -> :func:`success_probability` of ``radio`` at transmit probability a.
+
+    What a trial does not change is read once per link: the nodes'
+    thresholds, interference integrals and weights, -s N/P and the
+    Gamma-tail factors.  A trial then costs one exponential per node and one
+    dot.  The last link's trial is kept, with every value it returned, so a
+    link search reads back the capture probability at the point it picked.
+    """
+    if geom.density == 0.0:
+        return lambda a: 0.0
+    s, q, weight = _disk_nodes(geom, radio.m, radio.eta, radio.beta)
+    noise_ratio = radio.noise / radio.power
+    base = -s * noise_ratio
+    factors = _tail_factors(s, radio.m)
+    rate = 2.0 * math.pi * geom.density
+
+    @functools.cache
+    def trial(a: float) -> float:
+        if a == 0.0:
+            return 0.0
+        ell = _laplace_from_g(_exponent(base, q, rate * a, noise_ratio))
+        p = 2.0 * a * math.pi * geom.density * float(_gamma_tail(factors, ell) @ weight)
+        return min(max(p, 0.0), 1.0)
+
+    return trial
+
+
 def success_probability(geom: HoverGeometry, radio: RadioSpec) -> float:
     """Probability that a slot delivers one packet from the covered disk.
 
     2 pi a lambda int_h^d K(r) r dr on the fixed 64-point rule over ground
     distance; the kernel at the cached nodes costs one exponential per node.
     """
-    if radio.aloha == 0.0 or geom.density == 0.0:
-        return 0.0
-    s, q, weight = _disk_nodes(geom, radio.m, radio.eta, radio.beta)
-    kernel = _kernel_from_q(s, q, geom, radio)
-    p = 2.0 * radio.aloha * math.pi * geom.density * float(kernel @ weight)
-    return min(max(p, 0.0), 1.0)
+    return _disk_trial(geom, radio)(radio.aloha)
 
 
 def _lens_angle(w, near, cover_radius, probe_radius):
@@ -383,9 +446,7 @@ def optimal_aloha(geom: HoverGeometry, radio: RadioSpec, tol: float = 1e-4) -> f
     The saddle-point condition has no closed solution once the noise term is
     kept, so the maximum is located by golden-section search on (0, 1].
     """
-    def f(a: float) -> float:
-        return success_probability(geom, radio.with_(aloha=a))
-
+    f = _disk_trial(geom, radio)
     a_star, p_star = golden_max(f, tol, 1.0, tol=tol)
     if f(1.0) >= p_star:
         return 1.0
@@ -408,7 +469,8 @@ def optimal_beta(
         beta = math.exp(log_beta)
         trial = radio.with_(beta=beta)
         a = optimal_aloha(geom, trial, tol=1e-3) if optimize_a else radio.aloha
-        p = success_probability(geom, trial.with_(aloha=a))
+        # the ALOHA search's trial kept its values, so P_s at a is read back
+        p = _disk_trial(geom, trial)(a)
         return p * math.log2(1.0 + beta), a
 
     evaluated: dict[float, tuple[float, float]] = {}

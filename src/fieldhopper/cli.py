@@ -54,8 +54,9 @@ EXIT_CRASH = 1
 EXIT_INFEASIBLE = 2
 EXIT_MISMATCH = 3
 
-# fewest replications ``simulate`` accepts: with fewer per-replication rates
-# its |z| <= 3 verdict fails far more often than the nominal 0.27%
+# fewest replications ``simulate`` and ``sweep --with-mc`` accept: with fewer
+# per-replication rates the clustered standard error is too rough to read, and
+# ``simulate``'s |z| <= 3 verdict fails far more often than the nominal 0.27%
 _MIN_REPLICATIONS = 30
 
 
@@ -99,6 +100,11 @@ def _check_positive(**options: float | None) -> None:
     for name, value in options.items():
         if value is not None and not 0 < value < math.inf:
             raise ConfigError(f"--{name.replace('_', '-')} must be a positive number, got {value!r}")
+
+
+def _check_replications(replications: int) -> None:
+    if replications < _MIN_REPLICATIONS:
+        raise ConfigError(f"--replications must be at least {_MIN_REPLICATIONS}")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -270,6 +276,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_positive(radius=args.radius)
     if args.with_mc:
         _check_positive(slots=args.slots, replications=args.replications)
+        _check_replications(args.replications)
     geom = HoverGeometry(args.radius, cfg.drone().altitude_for_radius(args.radius), cfg.density)
     sweep = _SWEEP_AXES[args.axis]
     if args.axis == "area":
@@ -297,8 +304,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     _check_positive(radius=args.radius, probe_radius=args.probe_radius,
                     slots=args.slots, replications=args.replications)
-    if args.replications < _MIN_REPLICATIONS:
-        raise ConfigError(f"--replications must be at least {_MIN_REPLICATIONS}")
+    _check_replications(args.replications)
     geom = HoverGeometry(args.radius, cfg.drone().altitude_for_radius(args.radius), cfg.density)
     radio = _link(cfg, geom)
     analytic = success_probability(geom, radio)
@@ -405,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=float, default=None)
     p.add_argument("--with-mc", action="store_true")
     p.add_argument("--slots", type=int, default=1000)
-    p.add_argument("--replications", type=int, default=20)
+    p.add_argument("--replications", type=int, default=_MIN_REPLICATIONS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo vs analytic verdict")

@@ -9,6 +9,7 @@ longest (cost-weighted) tour.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,11 +46,42 @@ def _distance_matrix(points: np.ndarray) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=2))
 
 
+_HK_BLOCK = 1024  # (subset, last node) pairs per array step of the Held-Karp DP
+
+
+@functools.cache
+def _held_karp_steps(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(subsets, last nodes, predecessor subsets) per array step over m nodes.
+
+    Subset sizes run from 2 to m.  Within one size the pairs run j-major
+    (every subset ending at node 0, then at node 1, ...) and are cut into
+    blocks of at most ``_HK_BLOCK`` pairs; a step reads only the subsets one
+    node smaller, so the cut changes no value.  One entry per node count.
+    """
+    masks = np.arange(1 << m)
+    popcount = np.zeros(1 << m, dtype=np.int64)
+    for j in range(m):
+        popcount += (masks >> j) & 1
+    steps = []
+    for s in range(2, m + 1):
+        layer = np.flatnonzero(popcount == s)
+        by_last = [layer[(layer >> j) & 1 == 1] for j in range(m)]
+        last = np.repeat(np.arange(m), [len(ends) for ends in by_last])
+        ends = np.concatenate(by_last)
+        prev = ends ^ (1 << last)
+        for arr in (ends, last, prev):
+            arr.flags.writeable = False
+        for i in range(0, len(ends), _HK_BLOCK):
+            block = slice(i, i + _HK_BLOCK)
+            steps.append((ends[block], last[block], prev[block]))
+    return tuple(steps)
+
+
 def held_karp(dist: np.ndarray) -> tuple[list[int], float]:
     """Exact minimum closed tour through all nodes, starting at node 0.
 
-    The DP runs one array step per (subset size, last node): every subset of
-    that size ending at node j takes its best predecessor k at once.  Entries
+    The DP runs one array step per block of (subset, last node) pairs of one
+    subset size: every pair takes its best predecessor k at once.  Entries
     outside a subset stay infinite, and ``argmin`` keeps the first minimum,
     so ties break towards the lowest k.
     """
@@ -58,22 +90,15 @@ def held_karp(dist: np.ndarray) -> tuple[list[int], float]:
         return [0], 0.0
     m = n - 1  # nodes 1..n-1 relative to the start node
     size = 1 << m
-    sub = dist[1:, 1:]
+    sub_t = dist[1:, 1:].T  # row j: the leg from each k to j
     dp = np.full((size, m), np.inf)
     parent = np.full((size, m), -1, dtype=np.int32)
     dp[1 << np.arange(m), np.arange(m)] = dist[0, 1:]
-    masks = np.arange(size)
-    popcount = np.zeros(size, dtype=np.int64)
-    for j in range(m):
-        popcount += (masks >> j) & 1
-    for s in range(2, m + 1):
-        layer = np.flatnonzero(popcount == s)
-        for j in range(m):
-            ends = layer[(layer >> j) & 1 == 1]
-            cand = dp[ends ^ (1 << j)] + sub[:, j]
-            k = np.argmin(cand, axis=1)
-            dp[ends, j] = cand[np.arange(len(ends)), k]
-            parent[ends, j] = k
+    for ends, last, prev in _held_karp_steps(m):
+        cand = dp[prev] + sub_t[last]
+        k = np.argmin(cand, axis=1)
+        dp[ends, last] = cand[np.arange(len(ends)), k]
+        parent[ends, last] = k
     full = size - 1
     closing = dp[full] + dist[1:, 0]
     j = int(np.argmin(closing))

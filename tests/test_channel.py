@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev
 from scipy.integrate import IntegrationWarning
 
 from fieldhopper import channel
@@ -201,6 +202,72 @@ def test_noise_factor_monotone_in_aloha(geom20, radio):
     assert all(b <= a + 1e-12 for a, b in zip(scaled[:-1], scaled[1:]))
 
 
+def disk_rule_reference(geom, radio):
+    """Disk capture probability with the Laplace recurrence and the Gamma tail
+    written out term by term from zero, on the disk rule's cached nodes."""
+    if radio.aloha == 0.0 or geom.density == 0.0:
+        return 0.0
+    s, q, weight = channel._disk_nodes(geom, radio.m, radio.eta, radio.beta)
+    noise_ratio = radio.noise / radio.power
+    area_rate = 2.0 * math.pi * geom.density * radio.aloha
+    g = [-s * noise_ratio - area_rate * q[0]]
+    for j in range(1, radio.m):
+        g.append(-area_rate * q[j] - (noise_ratio if j == 1 else 0.0))
+    ell = [np.exp(g[0])]
+    for k in range(1, radio.m):
+        acc = np.zeros_like(s)
+        for j in range(k):
+            acc = acc + math.comb(k - 1, j) * g[k - j] * ell[j]
+        ell.append(acc)
+    kernel = np.zeros_like(s)
+    for k in range(radio.m):
+        kernel = kernel + ((-s) ** k / math.factorial(k)) * ell[k]
+    p = 2.0 * radio.aloha * math.pi * geom.density * float(kernel @ weight)
+    return min(max(p, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("density", [0.1, 1.0, 0.0])
+def test_aloha_trial_is_success_probability_bit_for_bit(radio, m, density):
+    geom = HoverGeometry(radius=20.0, altitude=20.0, density=density)
+    link = radio.with_(m=m)
+    trial = channel._disk_trial(geom, link)
+    for a in [0.0, *np.geomspace(1e-4, 1.0, 49).tolist()]:
+        want = disk_rule_reference(geom, link.with_(aloha=a))
+        got = success_probability(geom, link.with_(aloha=a))
+        assert trial(a) == got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_warm_beta_search_builds_one_link_per_beta_trial(geom20, radio, monkeypatch):
+    optimal_beta(geom20, radio)  # warm: every interpolant of the search is cached
+    built, searches, trials = [], [], []
+    init, aloha, golden = RadioSpec.__post_init__, channel.optimal_aloha, channel.golden_max
+
+    def counted_init(self):
+        built.append(self)
+        init(self)
+
+    def counted_aloha(*args, **kwargs):
+        searches.append(args)
+        return aloha(*args, **kwargs)
+
+    def counted_golden(f, lo, hi, tol):
+        def counted_f(x):
+            trials.append(x)
+            return f(x)
+        return golden(counted_f, lo, hi, tol=tol)
+
+    monkeypatch.setattr(RadioSpec, "__post_init__", counted_init)
+    monkeypatch.setattr(channel, "optimal_aloha", counted_aloha)
+    monkeypatch.setattr(channel, "golden_max", counted_golden)
+    optimal_beta(geom20, radio)
+    # one link per beta trial, each with one ALOHA search, and the link returned
+    assert len(searches) >= 10
+    assert len(built) == len(searches) + 1
+    assert len(trials) > 10 * len(built)
+
+
 def test_optimal_aloha_degenerate_sparse_field(radio):
     sparse = HoverGeometry(radius=20.0, altitude=20.0, density=5e-4)  # ~0.6 nodes
     assert optimal_aloha(sparse, radio) == 1.0
@@ -238,7 +305,7 @@ def test_optimal_beta_reports_its_search_point(geom20, radio):
 
 
 def test_optimal_beta_constant_success_goes_to_cap(geom20, radio, monkeypatch):
-    monkeypatch.setattr(channel, "success_probability", lambda g, r: 0.5)
+    monkeypatch.setattr(channel, "_disk_trial", lambda g, r: lambda a: 0.5)
     best = optimal_beta(geom20, radio, optimize_a=False)
     assert best.beta == channel.BETA_MAX == 20.0
 
@@ -502,6 +569,27 @@ def test_probe_search_past_center_runs_the_core_rule(radio, cov75, monkeypatch):
     assert shapes[-1] == (PROBE_GRID, 128)
     for idx in (0, 20, 40, 63):  # below and above R, up to the limit
         assert got[idx] == pytest.approx(edge_reference(geom, radio, radii[idx]), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("degree", channel._CHEB_DEGREES)
+def test_coefficients_are_chebinterpolate_bit_for_bit(radio, monkeypatch, degree):
+    monkeypatch.setattr(channel, "_CHEB_DEGREES", (degree,))
+    for cover, altitude in GEOMETRIES:
+        geom = HoverGeometry(cover, altitude, 0.1)
+        h, d = geom.altitude, geom.slant
+        for m in (1, 2, 3):
+            def values(x):
+                s = m * radio.beta * (0.5 * (d + h) + 0.5 * (d - h) * x) ** radio.eta
+                return np.stack(
+                    [s**j * channel._q_derivative(j, s, geom, m, radio.eta) for j in range(m)],
+                    axis=-1,
+                )
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # a low degree may not resolve
+                got = channel._interference_coefficients.__wrapped__(geom, m, radio.eta, radio.beta)
+            want = chebyshev.chebinterpolate(values, degree)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_one_interpolant_serves_every_aloha(radio):

@@ -354,6 +354,19 @@ def test_simulate_needs_the_minimum_replications_before_any_slot(tmp_path, capsy
     assert not (tmp_path / "simulate").exists()
 
 
+def test_sweep_with_mc_needs_the_minimum_replications_before_any_slot(tmp_path, capsys,
+                                                                     monkeypatch):
+    # a standard error from a handful of clusters is no error bar
+    slots = []
+    monkeypatch.setattr(simkit, "_simulate_batch", lambda *args: slots.append(args))
+    code = run(["sweep", "--axis", "a", "--grid", "0.01:0.1:3", "--with-mc", "--slots", "300",
+                "--replications", str(cli._MIN_REPLICATIONS - 1), "--out", str(tmp_path)])
+    assert code == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert slots == []
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_plan_past_the_table_writes_the_m_it_priced(tmp_path, capsys, covering_solves):
     # M = 24 is the packaged table's last row: it is priced and written, M = 25 is
     # still a usage error

@@ -100,7 +100,7 @@ def test_held_karp_against_brute_force(rng):
 
 def test_held_karp_matches_loop_reference_bit_for_bit(rng):
     # points on a 1/3 grid give tied tours and duplicate points
-    for n in range(1, 14):
+    for n in range(1, 16):
         for trial in range(4):
             pts = rng.random((n, 2)) * 100.0
             if trial % 2:
