@@ -15,15 +15,17 @@ per geometry and link and cached, whose basis polynomials come from the
 product recurrence T_{n+j} = 2 T_n T_j - T_{n-j} rather than from cosines.
 The interpolant is built from interference integrals taken with the fixed
 Gauss rule of :mod:`fieldhopper.quadrature` (two 64-point panels on [h, d],
-checked against one), on a Chebyshev grid built once per degree.  The disk
-capture probability sums the kernel on fixed nodes whose interference values
-are cached per link too.  A link search does not rebuild the link per trial:
-:func:`_disk_trial` reads the nodes once per link and hoists -s N/P, the
-Gamma-tail factors and the weights, so a transmit-probability trial costs one
-exponential per node and one dot; :func:`success_probability` is one such
-trial, so a search and a direct call agree bit for bit.  The edge-lens
-capture probability evaluates the kernel on the lens nodes, and on the
-full-angle core nodes only when a probe disk reaches past the disk center.
+checked against one), on a Chebyshev grid built once per degree; that
+interpolant is the one per-link cache.  The disk capture probability sums
+the kernel on 64 fixed nodes: :func:`_disk_trial` reads them from the
+interpolant once per link and hoists -s N/P, the Gamma-tail factors and the
+weights, so a transmit-probability trial costs one exponential per node and
+one dot.  :func:`success_probability` is one such trial, so a search and a
+direct call agree bit for bit, and :func:`_best_aloha` returns the capture
+probability its search measured with the transmit probability it picked.
+The edge-lens capture probability evaluates the kernel on the lens nodes,
+and on the full-angle core nodes only when a probe disk reaches past the
+disk center.
 
 The link is picked in one place, :func:`tuned_link`: a given threshold or
 transmit probability is applied as it is, and a free one is tuned, the
@@ -289,8 +291,7 @@ def _interference_lookup(
             terms[: n - half] += terms[half:n]
             n = half
         total = terms[0].reshape(r.shape)
-        # a copy at j = 0, so that no cached result holds on to the basis
-        q.append(total / s**j if j else total.copy())
+        q.append(total / s**j if j else total)
     return s, q
 
 
@@ -326,43 +327,25 @@ def _capture_kernel(r: np.ndarray, geom: HoverGeometry, radio: RadioSpec) -> np.
     return _gamma_tail(_tail_factors(s, radio.m), _laplace_from_q(s, q, geom, radio))
 
 
-@functools.lru_cache(maxsize=512)
-def _disk_nodes(
-    geom: HoverGeometry, m: int, eta: float, beta: float
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-    """(s, q, weights) of the fixed disk rule: 64 Gauss nodes in ground distance.
-
-    With w in [0, R] and r dr = w dw, int_h^d K(r) r dr = sum_i K(r_i) w_i c_i.
-    The nodes' thresholds and interference integrals depend only on the
-    link, so every ALOHA trial reads them from here.
-    """
-    w = geom.radius * quadrature.UNIT_NODES
-    s, q = _interference_lookup(np.sqrt(w**2 + geom.altitude**2), geom, m, eta, beta)
-    weight = geom.radius * quadrature.UNIT_WEIGHTS * w
-    for arr in (s, *q, weight):
-        arr.flags.writeable = False
-    return s, tuple(q), weight
-
-
-@functools.lru_cache(maxsize=1)
 def _disk_trial(geom: HoverGeometry, radio: RadioSpec) -> Callable[[float], float]:
     """a -> :func:`success_probability` of ``radio`` at transmit probability a.
 
-    What a trial does not change is read once per link: the nodes'
-    thresholds, interference integrals and weights, -s N/P and the
-    Gamma-tail factors.  A trial then costs one exponential per node and one
-    dot.  The last link's trial is kept, with every value it returned, so a
-    link search reads back the capture probability at the point it picked.
+    The disk rule has 64 fixed Gauss nodes in ground distance: with w in
+    [0, R] and r dr = w dw, int_h^d K(r) r dr = sum_i K(r_i) w_i c_i.  What a
+    trial does not change is computed here, once: the nodes' thresholds and
+    interference integrals, the weights, -s N/P and the Gamma-tail factors.
     """
     if geom.density == 0.0:
         return lambda a: 0.0
-    s, q, weight = _disk_nodes(geom, radio.m, radio.eta, radio.beta)
+    w = geom.radius * quadrature.UNIT_NODES
+    r = np.sqrt(w**2 + geom.altitude**2)
+    s, q = _interference_lookup(r, geom, radio.m, radio.eta, radio.beta)
+    weight = geom.radius * quadrature.UNIT_WEIGHTS * w
     noise_ratio = radio.noise / radio.power
     base = -s * noise_ratio
     factors = _tail_factors(s, radio.m)
     rate = 2.0 * math.pi * geom.density
 
-    @functools.cache
     def trial(a: float) -> float:
         if a == 0.0:
             return 0.0
@@ -440,17 +423,22 @@ def edge_success_probability(geom: HoverGeometry, radio: RadioSpec, r_mse):
 # ---------------------------------------------------------------------------
 # parameter optimization and slot pricing
 
-def optimal_aloha(geom: HoverGeometry, radio: RadioSpec, tol: float = 1e-4) -> float:
-    """Transmit probability maximizing the capture probability, capped at 1.
+def _best_aloha(trial: Callable[[float], float], tol: float) -> tuple[float, float]:
+    """(a, P_s) at the transmit probability maximizing ``trial``, capped at 1.
 
     The saddle-point condition has no closed solution once the noise term is
     kept, so the maximum is located by golden-section search on (0, 1].
     """
-    f = _disk_trial(geom, radio)
-    a_star, p_star = golden_max(f, tol, 1.0, tol=tol)
-    if f(1.0) >= p_star:
-        return 1.0
-    return a_star
+    a_star, p_star = golden_max(trial, tol, 1.0, tol=tol)
+    p_one = trial(1.0)
+    if p_one >= p_star:
+        return 1.0, p_one
+    return a_star, p_star
+
+
+def optimal_aloha(geom: HoverGeometry, radio: RadioSpec, tol: float = 1e-4) -> float:
+    """Transmit probability maximizing the capture probability, capped at 1."""
+    return _best_aloha(_disk_trial(geom, radio), tol)[0]
 
 
 def optimal_beta(
@@ -467,10 +455,8 @@ def optimal_beta(
 
     def value(log_beta: float) -> tuple[float, float]:
         beta = math.exp(log_beta)
-        trial = radio.with_(beta=beta)
-        a = optimal_aloha(geom, trial, tol=1e-3) if optimize_a else radio.aloha
-        # the ALOHA search's trial kept its values, so P_s at a is read back
-        p = _disk_trial(geom, trial)(a)
+        trial = _disk_trial(geom, radio.with_(beta=beta))
+        a, p = _best_aloha(trial, 1e-3) if optimize_a else (radio.aloha, trial(radio.aloha))
         return p * math.log2(1.0 + beta), a
 
     evaluated: dict[float, tuple[float, float]] = {}

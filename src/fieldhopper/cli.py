@@ -64,7 +64,10 @@ def _read_table(path: str, option: str) -> NormalizedCoverageTable:
     if not Path(path).is_file():
         # building the rows instead could start a covering solve of minutes
         raise ConfigError(f"{option} {path!r} is not a table file")
-    return NormalizedCoverageTable.load(path)
+    try:
+        return NormalizedCoverageTable.load(path)
+    except ValueError as exc:
+        raise ConfigError(f"{option}: {exc}") from exc
 
 
 def load_table(cfg: RunConfig) -> NormalizedCoverageTable:
@@ -258,8 +261,9 @@ def _sweep_area(cfg, geom, value, table):
     return "side,best_m,T_total", (value, best.m, best.total), None
 
 
-# axis -> handler(cfg, geom, value) returning (csv header, row, link); a
-# handler returns the link only where ``--with-mc`` simulates it at ``geom``
+# axis -> handler(cfg, geom, value) returning (csv header, row, link); the
+# handlers of the axes ``--with-mc`` simulates return the link at ``geom``
+_MC_AXES = ("beta", "a")
 _SWEEP_AXES = {
     "beta": _sweep_beta,
     "a": _sweep_aloha,
@@ -274,8 +278,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _sweep_grid(args.grid)
     _check_grid(cfg, args.axis, grid)
     _check_positive(radius=args.radius)
+    mc = dict(slots=args.slots, replications=args.replications) if args.with_mc else {}
     if args.with_mc:
-        _check_positive(slots=args.slots, replications=args.replications)
+        if args.axis not in _MC_AXES:
+            raise ConfigError(f"--with-mc simulates the axes {_MC_AXES}, not {args.axis!r}")
+        _check_positive(**mc)
         _check_replications(args.replications)
     geom = HoverGeometry(args.radius, cfg.drone().altitude_for_radius(args.radius), cfg.density)
     sweep = _SWEEP_AXES[args.axis]
@@ -286,15 +293,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for i, value in enumerate(grid):
         header, row, link = sweep(cfg, geom, float(value))
         line = ",".join(repr(float(v)) for v in row)
-        if args.with_mc and link is not None:
+        if args.with_mc:
             header += ",mc_p_success,mc_se"
-            sim = SimConfig(geom=geom, radio=link, slots=args.slots,
-                            replications=args.replications, seed=cfg.seed + i)
+            sim = SimConfig(geom=geom, radio=link, seed=cfg.seed + i, **mc)
             st = estimate_success_probability(sim)
             line += f",{st.p_success!r},{st.p_success_se!r}"
         rows.append(line)
+    # the Monte Carlo options name the output only where they act
     out = _out_dir(cfg, "sweep", axis=args.axis, grid=args.grid, radius=args.radius,
-                   with_mc=args.with_mc, slots=args.slots, replications=args.replications)
+                   with_mc=args.with_mc, **mc)
     _write_csv(out / "sweep.csv", cfg, header, rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return EXIT_OK
@@ -351,7 +358,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_fit_alpha(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     table = load_table(cfg)
-    fit = fit_alpha(table)
+    try:
+        fit = fit_alpha(table)
+    except ValueError as exc:
+        raise ConfigError(f"cannot fit the table: {exc}") from exc
     out = _out_dir(cfg, "fit-alpha")
     (out / "fit.json").write_text(
         json.dumps(

@@ -87,6 +87,8 @@ class RunConfig:
             raise ConfigError("need 1 <= m_min <= m_max")
         if self.uavs < 1:
             raise ConfigError("need at least one UAV")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.density <= 0:  # a FieldSpec allows an empty field
             raise ConfigError("density must be positive")
         try:

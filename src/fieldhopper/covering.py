@@ -449,31 +449,30 @@ class NormalizedCoverageTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "NormalizedCoverageTable":
+        """Read a table CSV; a malformed row raises ``ValueError`` naming ``path:line``."""
         path = Path(path)
         rows: dict[int, TableRow] = {}
         seed = 0
         restarts = 60
-        for line in path.read_text().splitlines():
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 for token in line.split():
                     if token.startswith("seed="):
                         seed = int(token[5:])
                     elif token.startswith("restarts="):
                         restarts = int(token[9:])
-                continue
-            if line.startswith("M,"):
-                continue
-            parts = line.split(",")
-            m = int(parts[0])
-            delta = float(parts[1])
-            alpha = float(parts[2])
-            centers = np.array(
-                [[float(v) for v in cell.split(";")] for cell in parts[3:]]
-            )
-            rows[m] = TableRow(m=m, delta=delta, alpha=alpha, centers=centers)
+            elif line and not line.startswith("M,"):
+                try:  # M,delta,alpha,x;y,... with exactly M centers
+                    m, delta, alpha, *cells = line.split(",")
+                    pairs = (cell.split(";") for cell in cells)
+                    centers = np.array([[float(x), float(y)] for x, y in pairs])
+                    row = TableRow(m=int(m), delta=float(delta), alpha=float(alpha), centers=centers)
+                    if len(centers) != row.m:
+                        raise ValueError(f"{len(centers)} centers for M = {row.m}")
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad row {line!r}: {exc}") from exc
+                rows[row.m] = row
         return cls(rows, seed=seed, restarts=restarts)
 
 

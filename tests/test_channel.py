@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 from scipy.integrate import IntegrationWarning
 
-from fieldhopper import channel
+from fieldhopper import channel, quadrature
 from fieldhopper.channel import (
     HoverGeometry,
     RadioSpec,
@@ -204,10 +204,14 @@ def test_noise_factor_monotone_in_aloha(geom20, radio):
 
 def disk_rule_reference(geom, radio):
     """Disk capture probability with the Laplace recurrence and the Gamma tail
-    written out term by term from zero, on the disk rule's cached nodes."""
+    written out term by term from zero, on the disk rule's 64 Gauss nodes."""
     if radio.aloha == 0.0 or geom.density == 0.0:
         return 0.0
-    s, q, weight = channel._disk_nodes(geom, radio.m, radio.eta, radio.beta)
+    w = geom.radius * quadrature.UNIT_NODES
+    weight = geom.radius * quadrature.UNIT_WEIGHTS * w
+    s, q = channel._interference_lookup(
+        np.sqrt(w**2 + geom.altitude**2), geom, radio.m, radio.eta, radio.beta
+    )
     noise_ratio = radio.noise / radio.power
     area_rate = 2.0 * math.pi * geom.density * radio.aloha
     g = [-s * noise_ratio - area_rate * q[0]]
@@ -242,15 +246,15 @@ def test_aloha_trial_is_success_probability_bit_for_bit(radio, m, density):
 def test_warm_beta_search_builds_one_link_per_beta_trial(geom20, radio, monkeypatch):
     optimal_beta(geom20, radio)  # warm: every interpolant of the search is cached
     built, searches, trials = [], [], []
-    init, aloha, golden = RadioSpec.__post_init__, channel.optimal_aloha, channel.golden_max
+    init, best_aloha, golden = RadioSpec.__post_init__, channel._best_aloha, channel.golden_max
 
     def counted_init(self):
         built.append(self)
         init(self)
 
-    def counted_aloha(*args, **kwargs):
+    def counted_best_aloha(*args, **kwargs):
         searches.append(args)
-        return aloha(*args, **kwargs)
+        return best_aloha(*args, **kwargs)
 
     def counted_golden(f, lo, hi, tol):
         def counted_f(x):
@@ -259,13 +263,47 @@ def test_warm_beta_search_builds_one_link_per_beta_trial(geom20, radio, monkeypa
         return golden(counted_f, lo, hi, tol=tol)
 
     monkeypatch.setattr(RadioSpec, "__post_init__", counted_init)
-    monkeypatch.setattr(channel, "optimal_aloha", counted_aloha)
+    monkeypatch.setattr(channel, "_best_aloha", counted_best_aloha)
     monkeypatch.setattr(channel, "golden_max", counted_golden)
     optimal_beta(geom20, radio)
     # one link per beta trial, each with one ALOHA search, and the link returned
     assert len(searches) >= 10
     assert len(built) == len(searches) + 1
     assert len(trials) > 10 * len(built)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("optimize_a", [True, False])
+def test_beta_trials_measure_success_probability_bit_for_bit(geom20, radio, m, optimize_a, monkeypatch):
+    link = radio.with_(m=m)
+    measured = []  # (beta, a, P_s) that each beta trial scored
+    disk_trial, best_aloha = channel._disk_trial, channel._best_aloha
+
+    def labelled_trial(geom, trial_link):
+        trial = disk_trial(geom, trial_link)
+
+        def scored(a):
+            p = trial(a)
+            if not optimize_a:  # a fixed transmit probability is scored by one trial
+                measured.append((trial_link.beta, a, p))
+            return p
+
+        scored.beta = trial_link.beta
+        return scored
+
+    def recorded_best_aloha(trial, tol):
+        a, p = best_aloha(trial, tol)
+        measured.append((trial.beta, a, p))
+        return a, p
+
+    monkeypatch.setattr(channel, "_disk_trial", labelled_trial)
+    monkeypatch.setattr(channel, "_best_aloha", recorded_best_aloha)
+    best = optimal_beta(geom20, link, optimize_a=optimize_a)
+    monkeypatch.undo()
+    assert len(measured) >= 10
+    for beta, a, p in measured:
+        assert p == success_probability(geom20, link.with_(beta=beta, aloha=a))
+    assert best.aloha in {a for _, a, _ in measured}
 
 
 def test_optimal_aloha_degenerate_sparse_field(radio):

@@ -420,6 +420,89 @@ def test_bad_simulate_and_sweep_arguments_exit_as_usage_errors(tmp_path, capsys,
     assert covering_solves == []
 
 
+def test_analytic_sweep_label_ignores_the_monte_carlo_options(tmp_path):
+    # without --with-mc, --slots and --replications change no byte, so no label
+    base = ["sweep", "--axis", "a", "--grid", "0.01:0.02:2", "--out", str(tmp_path)]
+    for extra in ([], ["--slots", "7"], ["--replications", "40"]):
+        assert run([*base, *extra]) == 0
+    assert len(list((tmp_path / "sweep").glob("*/sweep.csv"))) == 1
+    # with it they are inputs, and runs that differ in them write apart
+    for slots in ("300", "400"):
+        assert run([*base, "--with-mc", "--slots", slots]) == 0
+    assert len(list((tmp_path / "sweep").glob("*/sweep.csv"))) == 3
+
+
+@pytest.mark.parametrize("axis, grid", [("R", "15:20:2"), ("R_mse", "10:20:2"),
+                                        ("area", "100:100:1")])
+def test_sweep_with_mc_on_an_axis_it_cannot_simulate_is_a_usage_error(tmp_path, capsys,
+                                                                       monkeypatch, axis, grid):
+    priced = []
+    monkeypatch.setitem(cli._SWEEP_AXES, axis, lambda *args, **kwargs: priced.append(args))
+    code = run(["sweep", "--axis", axis, "--grid", grid, "--with-mc", "--out", str(tmp_path)])
+    assert code == cli.EXIT_INFEASIBLE
+    assert "--with-mc" in capsys.readouterr().err
+    assert priced == []
+    assert not (tmp_path / "sweep").exists()
+
+
+_TABLE_HEAD = "# fieldhopper-coverage-table v1 seed=42 restarts=60\nM,delta,alpha,centers\n"
+_ROW_ONE = "1,0.7071067811865476,0.0,0.5;0.5\n"
+
+
+@pytest.mark.parametrize("bad_row", [
+    "2",  # truncated
+    "2,0.56,1.0",  # no centers
+    "2,0.56,wide,0.5;0.25,0.5;0.75",  # a value that is no number
+    "two,0.56,1.0,0.5;0.25,0.5;0.75",
+    "2,0.56,1.0,0.5;0.25,0.5",  # a center that is not x;y
+    "2,0.56,1.0,0.5;0.25,0.5;0.75;0.1",
+    "2,0.56,1.0,0.5;0.25",  # one center for M = 2
+    "2,0.56,1.0,0.5;0.25,0.5;0.75,0.5;0.5",
+])
+@pytest.mark.parametrize("how", ["--table", "table =", "--extend"])
+def test_malformed_table_row_exits_as_usage_error(tmp_path, capsys, covering_solves,
+                                                  bad_row, how):
+    path = tmp_path / "t.csv"
+    path.write_text(_TABLE_HEAD + _ROW_ONE + bad_row + "\n")
+    if how == "--table":
+        args = ["plan", "--table", str(path), "--m-max", "1"]
+    elif how == "table =":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"table = {path}\nm_max = 1\n")
+        args = ["plan", "--config", str(cfg)]
+    else:
+        args = ["coverage-table", "--m-max", "3", "--extend", str(path)]
+    code = run([*args, "--out", str(tmp_path), "--label", "bad"])
+    assert code == cli.EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"{path}:4:" in err
+    assert not (tmp_path / args[0] / "bad").exists()
+    assert covering_solves == []
+
+
+def test_fit_alpha_on_a_table_with_one_tour_exits_as_usage_error(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text(_TABLE_HEAD + _ROW_ONE + "2,0.5590169943749475,1.0,0.5;0.25,0.5;0.75\n")
+    code = run(["fit-alpha", "--table", str(path), "--out", str(tmp_path), "--label", "f"])
+    assert code == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "fit-alpha" / "f").exists()
+
+
+@pytest.mark.parametrize("args", [["plan", "--m-max", "1"],
+                                  ["simulate", "--slots", "10", "--replications", "30"]])
+def test_negative_seed_exits_as_usage_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            args):
+    work = []
+    monkeypatch.setattr(cli, "plan_aggregation", lambda *a, **k: work.append(a))
+    monkeypatch.setattr(cli, "tuned_link", lambda *a, **k: work.append(a))
+    code = run([*args, "--seed", "-3", "--out", str(tmp_path), "--label", "neg"])
+    assert code == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert work == []
+    assert not (tmp_path / args[0]).exists()
+
+
 # Runs in a fresh interpreter: the test session itself has SciPy loaded
 _NO_SCIPY_SCRIPT = """
 import json, sys
