@@ -9,15 +9,17 @@ into a finite sum over its derivatives, which are evaluated through an exact
 exponential recurrence (no finite differences).
 
 The capture probabilities integrate a per-transmitter kernel over the disk.
-Its interference integrals depend on the link only through (m, eta, beta), so
-the kernel reads them from a Chebyshev interpolant in slant range, built once
-per geometry and link and cached, whose basis polynomials come from the
-product recurrence T_{n+j} = 2 T_n T_j - T_{n-j} rather than from cosines.
-The interpolant is built from interference integrals taken with the fixed
-Gauss rule of :mod:`fieldhopper.quadrature` (two 64-point panels on [h, d],
-checked against one), on a Chebyshev grid built once per degree; that
-interpolant is the one per-link cache.  The disk capture probability sums
-the kernel on 64 fixed nodes: :func:`_disk_trial` reads them from the
+Its interference integrals depend on the threshold only through the capture
+threshold s = m beta r^eta, so the kernel reads them from a Chebyshev
+interpolant in log s, built once per geometry (and m, eta) and cached; it
+covers every threshold of the search up to ``BETA_MAX``, so a threshold
+search builds one.  Its basis polynomials come from the product recurrence
+T_{n+j} = 2 T_n T_j - T_{n-j} rather than from cosines.  The interpolant is
+built from interference integrals taken with the fixed Gauss rule of
+:mod:`fieldhopper.quadrature` (two 64-point panels on [h, d], checked
+against one), on a Chebyshev grid built once per degree; that interpolant is
+the one cache of the link layer.  The disk capture probability sums the
+kernel on 64 fixed nodes: :func:`_disk_trial` reads them from the
 interpolant once per link and hoists -s N/P, the Gamma-tail factors and the
 weights, so a transmit-probability trial costs one exponential per node and
 one dot.  :func:`success_probability` is one such trial, so a search and a
@@ -207,26 +209,48 @@ def _chebyshev_grid(deg: int) -> tuple[np.ndarray, np.ndarray]:
     return x, vander
 
 
+def _log_s_range(geom: HoverGeometry, m: int, eta: float, beta_hi: float) -> tuple[float, float]:
+    """log s at r = h, beta = 1 and at r = d, beta = beta_hi: the interpolant's range."""
+    return math.log(m * geom.altitude**eta), math.log(m * beta_hi * geom.slant**eta)
+
+
+def _column_scale(j: int, s: np.ndarray, geom: HoverGeometry, m: int, eta: float):
+    """1 for j = 0, else s^j (1 + s / (m d^eta))^m: the factor that puts the
+    interpolant's column j on one relative scale over its whole range."""
+    if j == 0:
+        return 1.0
+    return s**j * (1.0 + s / (m * geom.slant**eta)) ** m
+
+
 @functools.lru_cache(maxsize=512)
 def _interference_coefficients(
-    geom: HoverGeometry, m: int, eta: float, beta: float
+    geom: HoverGeometry, m: int, eta: float, beta_hi: float
 ) -> np.ndarray:
-    """Chebyshev coefficients on [h, d] of r -> s^j Q_0^(j)(s), s = m beta r^eta, j < m.
+    """Chebyshev coefficients in log s of s -> Q_0^(j)(s) times its column scale, j < m.
 
-    The capture threshold s(r) is fixed by the link, so these integrals do
-    not depend on the transmit probability or the noise; one interpolant
-    serves every ALOHA value and every probe radius.  The factor s^j keeps
-    each column on one relative scale across [h, d]; Q_0^(j) alone spans
-    orders of magnitude when h << d.  The degree doubles until the last
-    coefficients of each column fall below ``_CHEB_TOL`` of its largest one
-    (geometric decay for analytic functions); at the cap the interpolant is
-    kept and a warning says so.
+    Q_0^(j) depends on the threshold beta only through the capture threshold
+    s = m beta r^eta, so one interpolant on [m h^eta, m beta_hi d^eta] serves
+    every beta in [1, beta_hi], every transmit probability, every noise level
+    and every probe radius.  The variable is log s, in which a change of beta
+    is a shift and whose nodes spread evenly over the decades s spans.  Q_0
+    stays within a small factor over the range, but for j >= 1 Q_0^(j) falls
+    about like s^-j while s lies among the disk's m r^eta and like s^-(m+j)
+    once it exceeds them all; the column scale s^j (1 + s / (m d^eta))^m
+    cancels both, so every column is resolved to one relative accuracy over
+    the whole range.  The degree doubles until the last coefficients of each
+    column fall below ``_CHEB_TOL`` of its largest one (geometric decay for
+    analytic functions); at the cap the interpolant is kept and a warning
+    says so.
     """
-    h, d = geom.altitude, geom.slant
+    lo, hi = _log_s_range(geom, m, eta, beta_hi)
 
     def values(x: np.ndarray) -> np.ndarray:
-        s = m * beta * (0.5 * (d + h) + 0.5 * (d - h) * x) ** eta
-        return np.stack([s**j * _q_derivative(j, s, geom, m, eta) for j in range(m)], axis=-1)
+        s = np.exp(0.5 * (hi + lo) + 0.5 * (hi - lo) * x)
+        return np.stack(
+            [_column_scale(j, s, geom, m, eta) * _q_derivative(j, s, geom, m, eta)
+             for j in range(m)],
+            axis=-1,
+        )
 
     for deg in _CHEB_DEGREES:
         # chebinterpolate's arithmetic on the cached grid; the product with
@@ -240,9 +264,11 @@ def _interference_coefficients(
             break
     else:
         warnings.warn(
-            f"interference interpolant on slant ranges [{h:g}, {d:g}] m not "
-            f"resolved at degree {deg} (m={m}, eta={eta:g}, beta={beta:g}); "
-            "capture probabilities may lose accuracy",
+            f"interference interpolant on capture thresholds s in "
+            f"[{math.exp(lo):g}, {math.exp(hi):g}] (slant ranges "
+            f"[{geom.altitude:g}, {geom.slant:g}] m) "
+            f"not resolved at degree {deg} (m={m}, eta={eta:g}, beta up to "
+            f"{beta_hi:g}); capture probabilities may lose accuracy",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -255,11 +281,13 @@ def _interference_lookup(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Capture threshold s = m beta r^eta and [Q_0(s), ..., Q_0^(m-1)(s)] at slant range r.
 
-    The interference integrals come from the cached interpolant, so no
-    quadrature runs here.
+    The interference integrals come from the cached interpolant of the
+    geometry, which covers every threshold up to ``BETA_MAX`` (a larger
+    given one has its own), so no quadrature runs here.
     """
-    h, d = geom.altitude, geom.slant
-    coef = _interference_coefficients(geom, m, eta, beta)
+    beta_hi = max(beta, BETA_MAX)
+    coef = _interference_coefficients(geom, m, eta, beta_hi)
+    lo, hi = _log_s_range(geom, m, eta, beta_hi)
     s = m * beta * r**eta
     # V_k = 2 T_k(x) by the product rule T_{n+j} = 2 T_n T_j - T_{n-j}, which
     # for V reads V_{n+j} = V_n V_j - V_{n-j}: each vectorised step doubles
@@ -268,7 +296,7 @@ def _interference_lookup(
     # terms are then added pairwise over the degrees, elementwise and with
     # the same tree for every point (no BLAS), so a point's value does not
     # depend on the shape of ``r``
-    x = np.minimum(np.maximum((2.0 * r - (d + h)) / (d - h), -1.0), 1.0).ravel()
+    x = np.minimum(np.maximum((2.0 * np.log(s) - (hi + lo)) / (hi - lo), -1.0), 1.0).ravel()
     top = len(coef) - 1
     twice = np.empty((top + 1, x.size))
     twice[0] = 2.0
@@ -291,7 +319,7 @@ def _interference_lookup(
             terms[: n - half] += terms[half:n]
             n = half
         total = terms[0].reshape(r.shape)
-        q.append(total / s**j if j else total)
+        q.append(total / _column_scale(j, s, geom, m, eta))
     return s, q
 
 

@@ -262,8 +262,10 @@ def _sweep_area(cfg, geom, value, table):
 
 
 # axis -> handler(cfg, geom, value) returning (csv header, row, link); the
-# handlers of the axes ``--with-mc`` simulates return the link at ``geom``
+# handlers of the axes ``--with-mc`` simulates return the link at ``geom``,
+# and only those of the ``--radius`` axes read ``geom`` at all
 _MC_AXES = ("beta", "a")
+_RADIUS_AXES = ("beta", "a", "R_mse")
 _SWEEP_AXES = {
     "beta": _sweep_beta,
     "a": _sweep_aloha,
@@ -299,8 +301,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             st = estimate_success_probability(sim)
             line += f",{st.p_success!r},{st.p_success_se!r}"
         rows.append(line)
-    # the Monte Carlo options name the output only where they act
-    out = _out_dir(cfg, "sweep", axis=args.axis, grid=args.grid, radius=args.radius,
+    # --radius and the Monte Carlo options name the output only where they act
+    radius = args.radius if args.axis in _RADIUS_AXES else None
+    out = _out_dir(cfg, "sweep", axis=args.axis, grid=args.grid, radius=radius,
                    with_mc=args.with_mc, **mc)
     _write_csv(out / "sweep.csv", cfg, header, rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")

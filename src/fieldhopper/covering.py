@@ -470,6 +470,9 @@ class NormalizedCoverageTable:
                     row = TableRow(m=int(m), delta=float(delta), alpha=float(alpha), centers=centers)
                     if len(centers) != row.m:
                         raise ValueError(f"{len(centers)} centers for M = {row.m}")
+                    if not (math.isfinite(row.delta) and math.isfinite(row.alpha)
+                            and np.isfinite(centers).all()):
+                        raise ValueError("every value must be finite")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad row {line!r}: {exc}") from exc
                 rows[row.m] = row

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 from scipy.integrate import IntegrationWarning
 
-from fieldhopper import channel, quadrature
+from fieldhopper import channel, cli, mission, quadrature
 from fieldhopper.channel import (
     HoverGeometry,
     RadioSpec,
@@ -24,6 +24,7 @@ from fieldhopper.channel import (
     tuned_link,
 )
 from fieldhopper.field import PROBE_GRID, optimal_slots_estimation, probe_radius_limit
+from fieldhopper.mission import plan_aggregation
 
 from conftest import REFERENCE_RTOL, reference_lens_quad, reference_quad
 
@@ -515,15 +516,17 @@ def test_edge_array_matches_scalar_calls(geom20, radio):
 
 def cosine_lookup(r, geom, m, eta, beta):
     """[Q_0, ..., Q_0^(m-1)] at slant range r from the cached coefficients with
-    T_k(x) = cos(k acos x), and the scale sum_k |c_k T_k(x)| / s^j of each column,
-    the size of the rounding any evaluation order of the series makes."""
-    h, d = geom.altitude, geom.slant
-    coef = channel._interference_coefficients(geom, m, eta, beta)
+    T_k(x) = cos(k acos x), and the scale sum_k |c_k T_k(x)| / scale_j of each
+    column, the size of the rounding any evaluation order of the series makes."""
+    beta_hi = max(beta, channel.BETA_MAX)
+    coef = channel._interference_coefficients(geom, m, eta, beta_hi)
+    lo, hi = channel._log_s_range(geom, m, eta, beta_hi)
     s = m * beta * r**eta
-    angle = np.arccos(np.clip((2.0 * r - (d + h)) / (d - h), -1.0, 1.0))
+    angle = np.arccos(np.clip((2.0 * np.log(s) - (hi + lo)) / (hi - lo), -1.0, 1.0))
     basis = np.cos(angle[:, None] * np.arange(len(coef)))
-    values = [np.sum(basis * coef[:, j], axis=1) / s**j for j in range(m)]
-    scales = [np.sum(np.abs(basis * coef[:, j]), axis=1) / s**j for j in range(m)]
+    col = [channel._column_scale(j, s, geom, m, eta) for j in range(m)]
+    values = [np.sum(basis * coef[:, j], axis=1) / col[j] for j in range(m)]
+    scales = [np.sum(np.abs(basis * coef[:, j]), axis=1) / col[j] for j in range(m)]
     return values, scales
 
 
@@ -536,14 +539,16 @@ def test_recurrence_basis_matches_cosine_sum(radio, monkeypatch, degree, m):
     for cover, altitude in GEOMETRIES:
         geom = HoverGeometry(cover, altitude, 0.1)
         for beta in (1.0, 1.8, 20.0):
-            if len(channel._interference_coefficients(geom, m, radio.eta, beta)) - 1 > degree:
+            beta_hi = max(beta, channel.BETA_MAX)
+            if len(channel._interference_coefficients(geom, m, radio.eta, beta_hi)) - 1 > degree:
                 continue
             r = np.linspace(geom.altitude, geom.slant, 101)
             with monkeypatch.context() as patch:
                 patch.setattr(channel, "_CHEB_DEGREES", (degree,))
                 channel._interference_coefficients.cache_clear()
                 try:
-                    assert len(channel._interference_coefficients(geom, m, radio.eta, beta)) == degree + 1
+                    coef = channel._interference_coefficients(geom, m, radio.eta, beta_hi)
+                    assert len(coef) == degree + 1
                     want, scale = cosine_lookup(r, geom, m, radio.eta, beta)
                     s, got = channel._interference_lookup(r, geom, m, radio.eta, beta)
                 finally:
@@ -614,20 +619,38 @@ def test_coefficients_are_chebinterpolate_bit_for_bit(radio, monkeypatch, degree
     monkeypatch.setattr(channel, "_CHEB_DEGREES", (degree,))
     for cover, altitude in GEOMETRIES:
         geom = HoverGeometry(cover, altitude, 0.1)
-        h, d = geom.altitude, geom.slant
         for m in (1, 2, 3):
+            lo, hi = channel._log_s_range(geom, m, radio.eta, channel.BETA_MAX)
+
             def values(x):
-                s = m * radio.beta * (0.5 * (d + h) + 0.5 * (d - h) * x) ** radio.eta
+                s = np.exp(0.5 * (hi + lo) + 0.5 * (hi - lo) * x)
                 return np.stack(
-                    [s**j * channel._q_derivative(j, s, geom, m, radio.eta) for j in range(m)],
+                    [channel._column_scale(j, s, geom, m, radio.eta)
+                     * channel._q_derivative(j, s, geom, m, radio.eta) for j in range(m)],
                     axis=-1,
                 )
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # a low degree may not resolve
-                got = channel._interference_coefficients.__wrapped__(geom, m, radio.eta, radio.beta)
+                got = channel._interference_coefficients.__wrapped__(
+                    geom, m, radio.eta, channel.BETA_MAX
+                )
             want = chebyshev.chebinterpolate(values, degree)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("cover,altitude", GEOMETRIES)
+def test_lookup_matches_direct_quadrature_at_the_disk_nodes(radio, m, cover, altitude):
+    geom = HoverGeometry(cover, altitude, 0.1)
+    w = geom.radius * quadrature.UNIT_NODES
+    r = np.sqrt(w**2 + geom.altitude**2)
+    # 35 is a given threshold above the search range, read from its own interpolant
+    for beta in (1.0, 1.8, 5.0, 20.0, 35.0):
+        s, got = channel._interference_lookup(r, geom, m, radio.eta, beta)
+        for j in range(m):
+            want = channel._q_derivative(j, s, geom, m, radio.eta)
+            assert np.max(np.abs(got[j] / want - 1.0)) <= 1e-12
 
 
 def test_one_interpolant_serves_every_aloha(radio):
@@ -636,6 +659,31 @@ def test_one_interpolant_serves_every_aloha(radio):
     optimal_aloha(geom, radio)
     edge_success_probability(geom, radio.with_(aloha=0.2), np.linspace(1.0, 40.0, 64))
     assert channel._interference_coefficients.cache_info().currsize == 1
+
+
+def test_plan_builds_one_interpolant_per_geometry(deployment, drone, radio, table, monkeypatch):
+    priced = set()
+    tuned = mission.tuned_link
+
+    def recorded(geom, *args):
+        priced.add(geom)
+        return tuned(geom, *args)
+
+    monkeypatch.setattr(mission, "tuned_link", recorded)
+    channel._interference_coefficients.cache_clear()
+    plan_aggregation(deployment, drone, radio, 250.0, table=table)
+    # every beta trial of a geometry's link search reads the same interpolant
+    assert len(priced) >= 5
+    assert channel._interference_coefficients.cache_info().misses == len(priced)
+
+
+def test_beta_searches_build_one_interpolant(geom20, radio, tmp_path):
+    channel._interference_coefficients.cache_clear()
+    optimal_beta(geom20, radio)
+    assert channel._interference_coefficients.cache_info().misses == 1
+    channel._interference_coefficients.cache_clear()
+    assert cli.main(["sweep", "--axis", "beta", "--grid", "1:10:10", "--out", str(tmp_path)]) == 0
+    assert channel._interference_coefficients.cache_info().misses == 1
 
 
 def test_interpolant_warns_at_degree_cap(radio, monkeypatch):

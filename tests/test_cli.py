@@ -125,8 +125,8 @@ def test_sweep_radius_hover_increases(tmp_path):
 # sha256 of everything below the "# config=" stamp; both axes price hover
 # as aggregation slots x slot length
 SWEEP_DIGESTS = {
-    ("beta", "1:10:10"): "2f59c23bfa2082c215a6e091c643485e617a5c0db87148b03fb5f1b898f9748f",
-    ("R", "15:45:7"): "7dd18524ecfe09039ad56319d230a5d771e6248dd0cb7d1a3e1c19d355edf316",
+    ("beta", "1:10:10"): "f10e23d10e128c077d510346285eac9bc7d076359468a1be1ec588de5793e390",
+    ("R", "15:45:7"): "390de4b801acfa06ba5c7e63f4c75bb5d92f33cb86f6aa427ebe423fbf31506b",
 }
 
 
@@ -145,7 +145,7 @@ def test_simulate_stats_bit_identical(tmp_path):
     payload = json.loads((tmp_path / "simulate" / "s" / "stats.json").read_text())
     del payload["config"]  # it holds the output path
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-    assert digest == "e6372d8d46524b7cd4dc0b850c9234bb57a4afa5274ea69cad814b333a47b4bc"
+    assert digest == "b9034f9e24aeedf7c6ed3e15b2201490f5c8474811300d6af33879bf3ab82296"
 
 
 def test_simulate_pass_and_replay(tmp_path):
@@ -432,6 +432,22 @@ def test_analytic_sweep_label_ignores_the_monte_carlo_options(tmp_path):
     assert len(list((tmp_path / "sweep").glob("*/sweep.csv"))) == 3
 
 
+@pytest.mark.parametrize("axis, grid", [("R", "15:20:2"), ("area", "100:100:1")])
+def test_sweep_label_ignores_radius_on_axes_that_do_not_read_it(tmp_path, axis, grid):
+    # R prices each grid radius and area plans whole missions, so --radius
+    # changes no byte there and names no second directory
+    base = ["sweep", "--axis", axis, "--grid", grid, "--out", str(tmp_path)]
+    assert run(base) == 0
+    assert run([*base, "--radius", "30"]) == 0
+    files = list((tmp_path / "sweep").glob("*/sweep.csv"))
+    assert len(files) == 1
+    # on a disk axis it is an input, and runs that differ in it write apart
+    disk = ["sweep", "--axis", "R_mse", "--grid", "10:20:2", "--out", str(tmp_path)]
+    assert run(disk) == 0
+    assert run([*disk, "--radius", "30"]) == 0
+    assert len(list((tmp_path / "sweep").glob("*/sweep.csv"))) == 3
+
+
 @pytest.mark.parametrize("axis, grid", [("R", "15:20:2"), ("R_mse", "10:20:2"),
                                         ("area", "100:100:1")])
 def test_sweep_with_mc_on_an_axis_it_cannot_simulate_is_a_usage_error(tmp_path, capsys,
@@ -458,6 +474,9 @@ _ROW_ONE = "1,0.7071067811865476,0.0,0.5;0.5\n"
     "2,0.56,1.0,0.5;0.25,0.5;0.75;0.1",
     "2,0.56,1.0,0.5;0.25",  # one center for M = 2
     "2,0.56,1.0,0.5;0.25,0.5;0.75,0.5;0.5",
+    "1,nan,0.0,0.5;0.5",  # a value that is not finite
+    "2,0.56,inf,0.5;0.25,0.5;0.75",
+    "2,0.56,1.0,0.5;-inf,0.5;0.75",
 ])
 @pytest.mark.parametrize("how", ["--table", "table =", "--extend"])
 def test_malformed_table_row_exits_as_usage_error(tmp_path, capsys, covering_solves,

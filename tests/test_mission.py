@@ -34,8 +34,8 @@ def test_default_table_is_the_packaged_one(deployment, drone, radio, cov75, tabl
 # sha256 of json.dumps(report.to_dict(), sort_keys=True): a refactor of the
 # planners that moves any value of these plans, or a key, fails here
 PLAN_DIGESTS = {
-    "aggregation": "4f987540265da95ad9a8519452c10fb22d831523f73ea44c37666a74343146e1",
-    "estimation M 8-10": "d709f2c7092aae7ca68f18f0bc149a05fa0a1bc43b64a6b1f725cb41317acd80",
+    "aggregation": "4f7ad7a55a2a87f71e305f2f3c900b22253fbe8e9a2b5c167de8a1aa29751d81",
+    "estimation M 8-10": "db09fcf3c0af6cd238449b45bf3bba314a1fbda49a5b4978442101b7f968e7e6",
     "K=2 M=18": "d220df89f1eda6cb3ff5c980881d0cbd8d2392646e97f0a8af2d3a1dfceb73e3",
 }
 
