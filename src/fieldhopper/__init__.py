@@ -34,7 +34,7 @@ from .field import (
     optimal_slots_estimation,
     sample_field,
 )
-from .kinematics import DroneSpec, hop_time, travel_time, travel_time_approx
+from .kinematics import DroneSpec, hop_time, travel_time
 from .mission import (
     FieldSpec,
     MissionReport,

@@ -509,10 +509,11 @@ def tuned_link(
 ) -> RadioSpec:
     """``radio`` with each given link value applied and each free one tuned.
 
-    The given values are set before any search.  A free transmit probability
-    under a given threshold is :func:`optimal_aloha`; a free threshold is
-    :func:`optimal_beta`, which re-tunes the transmit probability per trial
-    only when that is free too.
+    It picks the link for both missions: the estimation planner prices its
+    slot budget on the link aggregation would use.  The given values are set
+    before any search.  A free transmit probability under a given threshold
+    is :func:`optimal_aloha`; a free threshold is :func:`optimal_beta`, which
+    re-tunes the transmit probability per trial only when that is free too.
     """
     radio = radio.with_(**{k: v for k, v in (("beta", beta), ("aloha", aloha)) if v is not None})
     if beta is None:

@@ -92,49 +92,3 @@ def travel_time(tour: Tour, drone: DroneSpec) -> float:
     hops = sum(hop_time(u, drone) for u in tour.hop_distances)
     return hops + tour.num_stops * drone.reconf_time
 
-
-@dataclass(frozen=True)
-class ApproxTravelTime:
-    """Closed-form travel time for fields large enough to reach cruise speed."""
-
-    value: float
-    size_bound: float
-    area_side: float
-
-    @property
-    def bound_ok(self) -> bool:
-        return self.area_side >= self.size_bound
-
-
-def field_size_bound(m: int, alpha: float, drone: DroneSpec) -> float:
-    """Smallest field side on which the average hop allows full acceleration."""
-    if alpha <= 0:
-        return math.inf
-    return (
-        m
-        * drone.speed**2
-        * (1.0 / drone.accel + 1.0 / drone.decel)
-        / (2.0 * alpha)
-    )
-
-
-def travel_time_approx(
-    m: int,
-    area_side: float,
-    drone: DroneSpec,
-    alpha: float,
-) -> ApproxTravelTime:
-    """Closed-form travel time from the normalized tour length ``alpha``.
-
-    Valid when every hop is long enough to reach cruise speed; the result is
-    flagged (not rejected) when ``area_side`` is below that bound.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    t_stop = drone.ramp_up_time + drone.ramp_down_time + drone.reconf_time
-    value = (alpha * area_side - m * drone.ramp_distance) / drone.speed + m * t_stop
-    return ApproxTravelTime(
-        value=value,
-        size_bound=field_size_bound(m, alpha, drone),
-        area_side=area_side,
-    )

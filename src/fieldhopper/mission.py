@@ -2,13 +2,13 @@
 
 For every candidate number of hovering locations M the planner pulls the
 cached covering layout, derives the hover geometry, fixes or tunes the link
-through :func:`fieldhopper.channel.tuned_link` (estimation first
-line-searches a free beta on its own hover objective), prices the hover and
-travel times, and keeps the M with the smallest total.  One UAV is a fleet
-of one: its tour comes from the same min-max split as K UAVs.  Hover time
-falls with M (smaller disks hear their sensors better) while travel time
-grows, so the total has an interior minimum; the sweep stops after the total
-has risen for three consecutive M to ride out heuristic-coverage noise.
+through :func:`fieldhopper.channel.tuned_link` (one link rule for both
+missions), prices the hover and travel times, and keeps the M with the
+smallest total.  One UAV is a fleet of one: its tour comes from the same
+min-max split as K UAVs.  Hover time falls with M (smaller disks hear their
+sensors better) while travel time grows, so the total has an interior
+minimum; the sweep stops after the total has risen for three consecutive M
+to ride out heuristic-coverage noise.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import (
-    BETA_MAX,
     HoverGeometry,
     RadioSpec,
     aggregation_slots,
@@ -36,7 +35,6 @@ from .field import (
     optimal_slots_estimation,
 )
 from .kinematics import DroneSpec, travel_time
-from .search import golden_min
 from .tours import Tour, solve_minmax_mdmtsp
 
 __all__ = [
@@ -204,20 +202,25 @@ def _sweep(records: list[MissionRecord]) -> bool:
 
 def _plan(
     kind: str,
-    price: Callable[[int, HoverGeometry], dict],
+    price: Callable[[int, HoverGeometry, RadioSpec, float], dict],
     field: FieldSpec,
     drone: DroneSpec,
+    radio: RadioSpec,
+    fixed_beta: float | None,
+    fixed_aloha: float | None,
     m_range: Sequence[int],
     k: int,
     depots,
     table: NormalizedCoverageTable | None,
     seed: int,
 ) -> MissionReport:
-    """The M sweep both missions share; they differ only in ``price(m, geom)``,
-    which returns the record's link and hover fields, with ``feasible=False``
-    when the hover target cannot be met (travel is then not priced).  With no
-    ``table`` the layouts come from the packaged one; an M past its last row
-    raises :class:`MissingRowError` carrying the report of the M before it.
+    """The M sweep both missions share.  Per M it picks the link with
+    :func:`tuned_link` and its capture probability, and the missions differ
+    only in ``price(m, geom, link, p_success)``, which returns the record's
+    hover fields, with ``feasible=False`` when the hover target cannot be met
+    (travel is then not priced).  With no ``table`` the layouts come from the
+    packaged one; an M past its last row raises :class:`MissingRowError`
+    carrying the report of the M before it.
     """
     table = table if table is not None else NormalizedCoverageTable.packaged()
     if depots is None:
@@ -233,9 +236,13 @@ def _plan(
             exc.report = report
             raise
         altitude = drone.altitude_for_radius(plan.radius)
-        hover_fields = price(m, HoverGeometry(plan.radius, altitude, field.density))
+        geom = HoverGeometry(plan.radius, altitude, field.density)
+        link = tuned_link(geom, radio, fixed_beta, fixed_aloha)
+        p = success_probability(geom, link)
+        hover_fields = price(m, geom, link, p)
         record = MissionRecord(
-            m=m, radius=plan.radius, altitude=altitude,
+            m=m, radius=plan.radius, altitude=altitude, beta=link.beta,
+            aloha=link.aloha, p_success=p,
             hover_total=m * hover_fields["hover_per_hl"], travel=math.nan,
             total=math.inf, **hover_fields,
         )
@@ -272,47 +279,14 @@ def plan_aggregation(
     if zeta < 0:
         raise ValueError("zeta must be non-negative")
 
-    def price(m: int, geom: HoverGeometry) -> dict:
-        link = tuned_link(geom, radio, fixed_beta, fixed_aloha)
-        p = success_probability(geom, link)
+    def price(m: int, geom: HoverGeometry, link: RadioSpec, p: float) -> dict:
         slots = aggregation_slots(m, zeta, p)
         hover = slots * slot_duration(link)
-        return dict(beta=link.beta, aloha=link.aloha, p_success=p,
-                    slots_per_hl=slots, hover_per_hl=hover,
+        return dict(slots_per_hl=slots, hover_per_hl=hover,
                     feasible=math.isfinite(hover))
 
-    return _plan("aggregation", price, field, drone, m_range, k, depots, table, seed)
-
-
-def _link_for_estimation(
-    geom: HoverGeometry,
-    radio: RadioSpec,
-    cov: CovarianceSpec,
-    delta: float,
-    fixed_beta: float | None,
-    fixed_aloha: float | None,
-):
-    """Pick beta (and aloha) minimizing per-hover time J* x slot length.
-
-    A free beta is line-searched on the true objective with the transmit
-    probability held where it is tuned (or fixed) at the default threshold;
-    the link at the best beta is then tuned as a given one would be.
-    """
-    beta = fixed_beta
-    if beta is None:
-        a0 = tuned_link(geom, radio, RadioSpec.beta, fixed_aloha).aloha
-
-        def hover_at(log_beta: float) -> float:
-            link = radio.with_(beta=math.exp(log_beta), aloha=a0)
-            try:
-                return optimal_slots_estimation(geom, link, cov, delta).hover_time
-            except EstimationInfeasible:
-                return math.inf
-
-        log_best, _ = golden_min(hover_at, 0.0, math.log(BETA_MAX), tol=5e-3)
-        beta = math.exp(log_best)
-    link = tuned_link(geom, radio, beta, fixed_aloha)
-    return link, optimal_slots_estimation(geom, link, cov, delta)
+    return _plan("aggregation", price, field, drone, radio, fixed_beta, fixed_aloha,
+                 m_range, k, depots, table, seed)
 
 
 def plan_estimation(
@@ -332,23 +306,19 @@ def plan_estimation(
     """Minimize mission time subject to the field-estimation MSE target.
 
     Per-hover slot counts come from the edge-MSE budget (probe radius line
-    search), so unlike aggregation the hover time does not shrink with 1/M.
+    search) on the link aggregation would use, so unlike aggregation the
+    hover time does not shrink with 1/M.
     """
     _check_budget(cov, delta)
 
-    def price(m: int, geom: HoverGeometry) -> dict:
+    def price(m: int, geom: HoverGeometry, link: RadioSpec, p: float) -> dict:
         try:
-            link, budget = _link_for_estimation(
-                geom, radio, cov, delta, fixed_beta, fixed_aloha
-            )
+            budget = optimal_slots_estimation(geom, link, cov, delta)
         except EstimationInfeasible:
-            return dict(beta=radio.beta, aloha=radio.aloha, p_success=0.0,
-                        slots_per_hl=math.inf, hover_per_hl=math.inf,
-                        feasible=False)
-        return dict(beta=link.beta, aloha=link.aloha,
-                    p_success=success_probability(geom, link),
-                    slots_per_hl=budget.j_star, hover_per_hl=budget.hover_time,
+            return dict(slots_per_hl=math.inf, hover_per_hl=math.inf, feasible=False)
+        return dict(slots_per_hl=budget.j_star, hover_per_hl=budget.hover_time,
                     r_mse=budget.r_mse, rho=budget.rho,
                     p_edge_success=budget.p_edge_success)
 
-    return _plan("estimation", price, field, drone, m_range, k, depots, table, seed)
+    return _plan("estimation", price, field, drone, radio, fixed_beta, fixed_aloha,
+                 m_range, k, depots, table, seed)

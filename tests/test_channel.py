@@ -24,7 +24,7 @@ from fieldhopper.channel import (
     tuned_link,
 )
 from fieldhopper.field import PROBE_GRID, optimal_slots_estimation, probe_radius_limit
-from fieldhopper.mission import plan_aggregation
+from fieldhopper.mission import plan_aggregation, plan_estimation
 
 from conftest import REFERENCE_RTOL, reference_lens_quad, reference_quad
 
@@ -661,7 +661,8 @@ def test_one_interpolant_serves_every_aloha(radio):
     assert channel._interference_coefficients.cache_info().currsize == 1
 
 
-def test_plan_builds_one_interpolant_per_geometry(deployment, drone, radio, table, monkeypatch):
+def test_plan_builds_one_interpolant_per_geometry(deployment, drone, radio, cov75, table,
+                                                  monkeypatch):
     priced = set()
     tuned = mission.tuned_link
 
@@ -670,11 +671,15 @@ def test_plan_builds_one_interpolant_per_geometry(deployment, drone, radio, tabl
         return tuned(geom, *args)
 
     monkeypatch.setattr(mission, "tuned_link", recorded)
-    channel._interference_coefficients.cache_clear()
-    plan_aggregation(deployment, drone, radio, 250.0, table=table)
-    # every beta trial of a geometry's link search reads the same interpolant
-    assert len(priced) >= 5
-    assert channel._interference_coefficients.cache_info().misses == len(priced)
+    for plan in (lambda: plan_aggregation(deployment, drone, radio, 250.0, table=table),
+                 lambda: plan_estimation(deployment, drone, radio, cov75, 0.2, table=table)):
+        priced.clear()
+        channel._interference_coefficients.cache_clear()
+        plan()
+        # every beta trial of a geometry's link search, and every probe radius
+        # of its estimation budget, reads the same interpolant
+        assert len(priced) >= 5
+        assert channel._interference_coefficients.cache_info().misses == len(priced)
 
 
 def test_beta_searches_build_one_interpolant(geom20, radio, tmp_path):
@@ -694,6 +699,22 @@ def test_interpolant_warns_at_degree_cap(radio, monkeypatch):
             channel._interference_coefficients(geom, 1, 3.0, 1.8)
     finally:
         channel._interference_coefficients.cache_clear()  # drop the capped interpolant
+
+
+@pytest.mark.parametrize("warning", ["degree cap", "quadrature check"])
+def test_accuracy_warnings_fail_the_suite_outside_warns(warning, monkeypatch):
+    # pyproject.toml's filters turn these warnings into errors; a reworded
+    # warning that slips past its filter would pass silently, and fails here
+    monkeypatch.setattr(channel, "_CHEB_DEGREES", (4,))
+    geom = HoverGeometry(radius=20.0, altitude=1.0, density=0.1)
+    try:
+        with pytest.raises(RuntimeWarning):
+            if warning == "degree cap":
+                channel._interference_coefficients(geom, 1, 3.0, 1.8)
+            else:
+                quadrature.integrate(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0)
+    finally:
+        channel._interference_coefficients.cache_clear()
 
 
 def test_theta_lens_thin_lens_is_accurate():

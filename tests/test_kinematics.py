@@ -6,10 +6,8 @@ import pytest
 
 from fieldhopper.kinematics import (
     DroneSpec,
-    field_size_bound,
     hop_time,
     travel_time,
-    travel_time_approx,
 )
 from fieldhopper.tours import Tour, solve_tsp
 
@@ -115,34 +113,6 @@ def test_single_stop_round_trip(drone):
     tour = Tour(order=(0,), hop_distances=(30.0, 30.0))
     want = 2.0 * hop_time(30.0, drone) + drone.reconf_time
     assert travel_time(tour, drone) == pytest.approx(want)
-
-
-def test_approx_single_location(drone):
-    # alpha_1 = 0 and no stop overhead: ramps minus the cruise-equivalent ramp time
-    quick = DroneSpec(speed=drone.speed, accel=drone.accel, decel=drone.decel,
-                      reconf_time=0.0)
-    approx = travel_time_approx(1, 100.0, quick, alpha=0.0)
-    want = quick.ramp_up_time + quick.ramp_down_time - quick.ramp_distance / quick.speed
-    assert approx.value == pytest.approx(want)
-    assert not approx.bound_ok
-
-
-def test_approx_matches_exact_on_large_field(drone, table):
-    side = 10_000.0
-    plan = table.plan(6, side)
-    tour = solve_tsp(plan.centers, plan.centers[0])
-    exact = travel_time(tour, drone)
-    approx = travel_time_approx(6, side, drone, alpha=table.alpha(6))
-    assert approx.bound_ok
-    assert approx.value == pytest.approx(exact, rel=0.01)
-
-
-def test_size_bound_flags(drone, table):
-    alpha6 = table.alpha(6)
-    bound = field_size_bound(6, alpha6, drone)
-    assert travel_time_approx(6, bound * 1.01, drone, alpha6).bound_ok
-    assert not travel_time_approx(6, bound * 0.5, drone, alpha6).bound_ok
-    assert math.isinf(field_size_bound(1, 0.0, drone))
 
 
 def test_travel_grows_then_linear_in_side(drone, table):

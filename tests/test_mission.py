@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fieldhopper.field import CovarianceSpec
+from fieldhopper.field import CovarianceSpec, optimal_slots_estimation
 from fieldhopper.mission import (
     FieldSpec,
     multi_uav_total,
@@ -35,7 +35,7 @@ def test_default_table_is_the_packaged_one(deployment, drone, radio, cov75, tabl
 # planners that moves any value of these plans, or a key, fails here
 PLAN_DIGESTS = {
     "aggregation": "4f7ad7a55a2a87f71e305f2f3c900b22253fbe8e9a2b5c167de8a1aa29751d81",
-    "estimation M 8-10": "db09fcf3c0af6cd238449b45bf3bba314a1fbda49a5b4978442101b7f968e7e6",
+    "estimation M 8-10": "ee62511458e601b073a1c86bed8bd69ea38ecd924aa722d09b9e03144b7ad6f4",
     "K=2 M=18": "d220df89f1eda6cb3ff5c980881d0cbd8d2392646e97f0a8af2d3a1dfceb73e3",
 }
 
@@ -54,12 +54,45 @@ def test_plans_bit_identical(case, deployment, drone, radio, cov75, table):
     assert hashlib.sha256(payload).hexdigest() == PLAN_DIGESTS[case]
 
 
-def test_fixed_aloha_is_applied_before_the_beta_search(deployment, drone, radio, table):
-    def plan(radio_aloha):
-        return plan_aggregation(deployment, drone, radio.with_(aloha=radio_aloha), 250.0,
-                                m_range=[6], table=table, fixed_aloha=5e-4).to_dict()
+def test_fixed_aloha_is_applied_before_the_beta_search(deployment, drone, radio, cov75, table):
+    def plan(mission, radio_aloha):
+        link = radio.with_(aloha=radio_aloha)
+        if mission == "aggregation":
+            report = plan_aggregation(deployment, drone, link, 250.0, m_range=[6],
+                                      table=table, fixed_aloha=5e-4)
+        else:
+            report = plan_estimation(deployment, drone, link, cov75, 0.2, m_range=[9],
+                                     table=table, fixed_aloha=5e-4)
+        assert report.records[0].feasible
+        return report.to_dict()
 
-    assert plan(0.01) == plan(5e-4)
+    for mission in ("aggregation", "estimation"):
+        assert plan(mission, 0.01) == plan(mission, 5e-4)
+
+
+def test_estimation_prices_one_slot_budget_per_m(deployment, drone, radio, cov75, table,
+                                                 monkeypatch):
+    priced = []
+
+    def counted(geom, *args):
+        priced.append(geom.radius)
+        return optimal_slots_estimation(geom, *args)
+
+    monkeypatch.setattr("fieldhopper.mission.optimal_slots_estimation", counted)
+    report = plan_estimation(deployment, drone, radio, cov75, 0.2, m_range=range(8, 11),
+                             table=table)
+    assert priced == [r.radius for r in report.records]
+
+
+def test_both_missions_plan_on_one_link(deployment, drone, radio, cov75, table):
+    def links(report):
+        return {r.m: (r.beta, r.aloha, r.p_success) for r in report.records}
+
+    agg = links(plan_aggregation(deployment, drone, radio, 250.0, table=table))
+    est = links(plan_estimation(deployment, drone, radio, cov75, 0.2, table=table))
+    common = sorted(agg.keys() & est.keys())
+    assert common == list(range(1, 10))
+    assert [est[m] for m in common] == [agg[m] for m in common]
 
 
 def test_zero_samples_reduces_to_travel(deployment, drone, radio, table):
@@ -211,15 +244,3 @@ def test_optimal_m_identical_sizes(drone, radio, table):
 def test_optimal_m_monotone_in_area(drone, radio, table):
     best = _best_m_per_side((100.0, 200.0), drone, radio, table, range(1, 19))
     assert best[1] >= best[0]
-
-
-def test_quadrupled_area_scales_leading_travel_term(drone, table):
-    # with M fixed, the cruise term of the travel approximation scales as the
-    # field side; verify on the closed form
-    from fieldhopper.kinematics import travel_time_approx
-
-    alpha = table.alpha(6)
-    t1 = travel_time_approx(6, 4000.0, drone, alpha)
-    t2 = travel_time_approx(6, 8000.0, drone, alpha)
-    fixed = t1.value - alpha * 4000.0 / drone.speed
-    assert t2.value - fixed == pytest.approx(2.0 * (t1.value - fixed), rel=1e-9)

@@ -28,7 +28,7 @@ EXPORTS = {
     "krige", "load_config", "multi_uav_total", "optimal_aloha", "optimal_beta",
     "optimal_slots_estimation", "plan_aggregation", "plan_estimation", "sample_field",
     "sample_ppp", "slot_duration", "solve_minmax_mdmtsp", "solve_tsp",
-    "success_probability", "travel_time", "travel_time_approx",
+    "success_probability", "travel_time",
 }
 
 ROOT = Path(__file__).resolve().parents[1]
