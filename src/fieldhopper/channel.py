@@ -17,14 +17,15 @@ search builds one.  Its basis polynomials come from the product recurrence
 T_{n+j} = 2 T_n T_j - T_{n-j} rather than from cosines.  The interpolant is
 built from interference integrals taken with the fixed Gauss rule of
 :mod:`fieldhopper.quadrature` (two 64-point panels on [h, d], checked
-against one), on a Chebyshev grid built once per degree; that interpolant is
-the one cache of the link layer.  The disk capture probability sums the
-kernel on 64 fixed nodes: :func:`_disk_trial` reads them from the
-interpolant once per link and hoists -s N/P, the Gamma-tail factors and the
-weights, so a transmit-probability trial costs one exponential per node and
-one dot.  :func:`success_probability` is one such trial, so a search and a
-direct call agree bit for bit, and :func:`_best_aloha` returns the capture
-probability its search measured with the transmit probability it picked.
+against one); that interpolant is the one cache of the link layer.  One
+function, :func:`_kernel_trial`, assembles the kernel at given slant ranges:
+it reads the interpolant once per link and hoists -s N/P and the Gamma-tail
+factors, so a transmit-probability trial costs one exponential per node.
+The disk capture probability sums it on 64 fixed nodes with one dot
+(:func:`_disk_trial`).  :func:`success_probability` is one such trial, so a
+search and a direct call agree bit for bit, and :func:`_best_aloha` returns
+the capture probability its search measured with the transmit probability
+it picked.
 The edge-lens capture probability evaluates the kernel on the lens nodes,
 and on the full-angle core nodes only when a probe disk reaches past the
 disk center.
@@ -182,31 +183,11 @@ def _laplace_from_g(g: Sequence[np.ndarray]) -> list[np.ndarray]:
     return ell
 
 
-def _laplace_from_q(
-    s: np.ndarray, q: Sequence[np.ndarray], geom: HoverGeometry, radio: RadioSpec
-) -> list[np.ndarray]:
-    """[L, L', ..., L^(k)] from the interference integrals q = [Q_0, ..., Q_0^(k)]."""
-    noise_ratio = radio.noise / radio.power
-    area_rate = 2.0 * math.pi * geom.density * radio.aloha
-    return _laplace_from_g(_exponent(-s * noise_ratio, q, area_rate, noise_ratio))
-
-
 # ---------------------------------------------------------------------------
 # capture probabilities
 
 _CHEB_DEGREES = (32, 64, 128, 256)
 _CHEB_TOL = 1e-13
-
-
-@functools.cache
-def _chebyshev_grid(deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev points of the first kind and their Vandermonde matrix at ``deg``,
-    built once per degree as ``chebyshev.chebinterpolate`` builds them per call."""
-    x = chebyshev.chebpts1(deg + 1)
-    vander = chebyshev.chebvander(x, deg)
-    for arr in (x, vander):
-        arr.flags.writeable = False
-    return x, vander
 
 
 def _log_s_range(geom: HoverGeometry, m: int, eta: float, beta_hi: float) -> tuple[float, float]:
@@ -253,12 +234,7 @@ def _interference_coefficients(
         )
 
     for deg in _CHEB_DEGREES:
-        # chebinterpolate's arithmetic on the cached grid; the product with
-        # the transposed view, not a copy, keeps numpy's summation order
-        x, vander = _chebyshev_grid(deg)
-        coef = np.dot(vander.T, values(x))
-        coef[0] /= deg + 1
-        coef[1:] /= 0.5 * (deg + 1)
+        coef = chebyshev.chebinterpolate(values, deg)
         tail = np.max(np.abs(coef[-4:]), axis=0)
         if np.all(tail <= _CHEB_TOL * np.max(np.abs(coef), axis=0)):
             break
@@ -346,39 +322,51 @@ def _gamma_tail(factors: Sequence[np.ndarray], ell: Sequence[np.ndarray]) -> np.
     return total
 
 
-def _capture_kernel(r: np.ndarray, geom: HoverGeometry, radio: RadioSpec) -> np.ndarray:
-    """Per-transmitter capture probability at slant range r.
+def _kernel_trial(
+    r: np.ndarray, geom: HoverGeometry, radio: RadioSpec
+) -> Callable[[float], np.ndarray]:
+    """a -> per-transmitter capture probability at slant range r, transmit probability a.
 
     The Gamma tail sum_{k<m} ((-s)^k / k!) L^(k)(s) with s = m beta r^eta.
+    What a transmit probability does not change is computed here, once: the
+    thresholds and interference integrals at r, -s N/P and the Gamma-tail
+    factors, so a trial costs one exponential per point.
     """
     s, q = _interference_lookup(r, geom, radio.m, radio.eta, radio.beta)
-    return _gamma_tail(_tail_factors(s, radio.m), _laplace_from_q(s, q, geom, radio))
+    noise_ratio = radio.noise / radio.power
+    base = -s * noise_ratio
+    factors = _tail_factors(s, radio.m)
+    rate = 2.0 * math.pi * geom.density
+
+    def kernel(a: float) -> np.ndarray:
+        return _gamma_tail(factors, _laplace_from_g(_exponent(base, q, rate * a, noise_ratio)))
+
+    return kernel
+
+
+def _capture_kernel(r: np.ndarray, geom: HoverGeometry, radio: RadioSpec) -> np.ndarray:
+    """Per-transmitter capture probability at slant range r on ``radio``'s link."""
+    return _kernel_trial(r, geom, radio)(radio.aloha)
 
 
 def _disk_trial(geom: HoverGeometry, radio: RadioSpec) -> Callable[[float], float]:
     """a -> :func:`success_probability` of ``radio`` at transmit probability a.
 
     The disk rule has 64 fixed Gauss nodes in ground distance: with w in
-    [0, R] and r dr = w dw, int_h^d K(r) r dr = sum_i K(r_i) w_i c_i.  What a
-    trial does not change is computed here, once: the nodes' thresholds and
-    interference integrals, the weights, -s N/P and the Gamma-tail factors.
+    [0, R] and r dr = w dw, int_h^d K(r) r dr = sum_i K(r_i) w_i c_i.  The
+    nodes' kernel comes from :func:`_kernel_trial` and the weights are
+    computed here, once.
     """
     if geom.density == 0.0:
         return lambda a: 0.0
     w = geom.radius * quadrature.UNIT_NODES
-    r = np.sqrt(w**2 + geom.altitude**2)
-    s, q = _interference_lookup(r, geom, radio.m, radio.eta, radio.beta)
+    kernel = _kernel_trial(np.sqrt(w**2 + geom.altitude**2), geom, radio)
     weight = geom.radius * quadrature.UNIT_WEIGHTS * w
-    noise_ratio = radio.noise / radio.power
-    base = -s * noise_ratio
-    factors = _tail_factors(s, radio.m)
-    rate = 2.0 * math.pi * geom.density
 
     def trial(a: float) -> float:
         if a == 0.0:
             return 0.0
-        ell = _laplace_from_g(_exponent(base, q, rate * a, noise_ratio))
-        p = 2.0 * a * math.pi * geom.density * float(_gamma_tail(factors, ell) @ weight)
+        p = 2.0 * a * math.pi * geom.density * float(kernel(a) @ weight)
         return min(max(p, 0.0), 1.0)
 
     return trial
@@ -425,8 +413,8 @@ def edge_success_probability(geom: HoverGeometry, radio: RadioSpec, r_mse):
     that stops short of the center gives its core nodes weight 0.
     """
     r_arr = np.asarray(r_mse, dtype=float)
-    if not np.all(r_arr > 0):
-        raise ValueError("probe radius must be positive")
+    if not np.all((r_arr > 0) & (r_arr < math.inf)):
+        raise ValueError("probe radius must be positive and finite")
     if radio.aloha == 0.0 or geom.density == 0.0:
         return 0.0 if r_arr.ndim == 0 else np.zeros(r_arr.shape)
     cover, h = geom.radius, geom.altitude

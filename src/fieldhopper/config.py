@@ -89,6 +89,8 @@ class RunConfig:
             raise ConfigError("need at least one UAV")
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.restarts < 0:
+            raise ConfigError(f"restarts must be non-negative, got {self.restarts}")
         if self.density <= 0:  # a FieldSpec allows an empty field
             raise ConfigError("density must be positive")
         try:

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    HoverGeometry,
-    RadioSpec,
-    edge_success_probability,
-    slot_duration,
-)
+from .channel import HoverGeometry, RadioSpec, edge_success_probability
 from .search import golden_min
 
 __all__ = [
@@ -155,10 +150,6 @@ class ObservationSet:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @classmethod
-    def empty(cls) -> "ObservationSet":
-        return cls(np.empty((0, 2)), np.empty(0))
 
 
 def krige(obs: ObservationSet, targets, spec: CovarianceSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -293,12 +284,10 @@ def estimation_slots(
 class MseBudget:
     """Probe radius, lens ratio and slot count meeting an edge-MSE target."""
 
-    delta: float
     r_mse: float
     rho: float
     j_star: int
     p_edge_success: float
-    hover_time: float
 
 
 def optimal_slots_estimation(
@@ -333,12 +322,9 @@ def optimal_slots_estimation(
     r_star, j_real = golden_min(objective, lo, hi, tol=upper * 1e-4)
     if values[k] < j_real:
         r_star, j_real = float(radii[k]), float(values[k])
-    j_star = max(int(math.ceil(j_real)), 1)
     return MseBudget(
-        delta=delta,
         r_mse=float(r_star),
         rho=area_ratio_rho(geom.radius, r_star),
-        j_star=j_star,
+        j_star=max(int(math.ceil(j_real)), 1),
         p_edge_success=edge_success_probability(geom, radio, r_star),
-        hover_time=j_star * slot_duration(radio),
     )

@@ -4,11 +4,14 @@ For every candidate number of hovering locations M the planner pulls the
 cached covering layout, derives the hover geometry, fixes or tunes the link
 through :func:`fieldhopper.channel.tuned_link` (one link rule for both
 missions), prices the hover and travel times, and keeps the M with the
-smallest total.  One UAV is a fleet of one: its tour comes from the same
-min-max split as K UAVs.  Hover time falls with M (smaller disks hear their
-sensors better) while travel time grows, so the total has an interior
-minimum; the sweep stops after the total has risen for three consecutive M
-to ride out heuristic-coverage noise.
+smallest total.  A mission is its slot rule: it returns the slots per hover
+(aggregation's zeta/(M P_s), estimation's edge-MSE budget) and the sweep
+turns them into hover time at the link's slot length.  One UAV is a fleet
+of one: its tour comes from the same min-max split as K UAVs.  Hover time
+falls with M (smaller disks hear their sensors better) while travel time
+grows, so the total has an interior minimum; the sweep stops after the
+total has risen for three consecutive M to ride out heuristic-coverage
+noise.
 """
 
 from __future__ import annotations
@@ -136,10 +139,6 @@ class MissionReport:
             raise EstimationInfeasible("no feasible M in the evaluated range")
         return min(candidates, key=lambda r: r.total)
 
-    @property
-    def best_m(self) -> int:
-        return self.best.m
-
     def to_dict(self) -> dict:
         out = {
             "mission": self.kind,
@@ -202,7 +201,7 @@ def _sweep(records: list[MissionRecord]) -> bool:
 
 def _plan(
     kind: str,
-    price: Callable[[int, HoverGeometry, RadioSpec, float], dict],
+    price: Callable[[int, HoverGeometry, RadioSpec, float], tuple[float, dict]],
     field: FieldSpec,
     drone: DroneSpec,
     radio: RadioSpec,
@@ -216,11 +215,12 @@ def _plan(
 ) -> MissionReport:
     """The M sweep both missions share.  Per M it picks the link with
     :func:`tuned_link` and its capture probability, and the missions differ
-    only in ``price(m, geom, link, p_success)``, which returns the record's
-    hover fields, with ``feasible=False`` when the hover target cannot be met
-    (travel is then not priced).  With no ``table`` the layouts come from the
-    packaged one; an M past its last row raises :class:`MissingRowError`
-    carrying the report of the M before it.
+    only in ``price(m, geom, link, p_success)``, which returns the slots per
+    hover and the record's budget fields.  The sweep prices each hover as
+    slots times the slot length; an infinite slot count means the hover
+    target cannot be met, and travel is then not priced.  With no ``table``
+    the layouts come from the packaged one; an M past its last row raises
+    :class:`MissingRowError` carrying the report of the M before it.
     """
     table = table if table is not None else NormalizedCoverageTable.packaged()
     if depots is None:
@@ -239,12 +239,13 @@ def _plan(
         geom = HoverGeometry(plan.radius, altitude, field.density)
         link = tuned_link(geom, radio, fixed_beta, fixed_aloha)
         p = success_probability(geom, link)
-        hover_fields = price(m, geom, link, p)
+        slots, budget_fields = price(m, geom, link, p)
+        hover = slots * slot_duration(link)
         record = MissionRecord(
             m=m, radius=plan.radius, altitude=altitude, beta=link.beta,
-            aloha=link.aloha, p_success=p,
-            hover_total=m * hover_fields["hover_per_hl"], travel=math.nan,
-            total=math.inf, **hover_fields,
+            aloha=link.aloha, p_success=p, slots_per_hl=slots, hover_per_hl=hover,
+            hover_total=m * hover, travel=math.nan, total=math.inf,
+            feasible=math.isfinite(hover), **budget_fields,
         )
         if record.feasible:
             (record.total, record.travel, record.per_uav,
@@ -279,11 +280,8 @@ def plan_aggregation(
     if zeta < 0:
         raise ValueError("zeta must be non-negative")
 
-    def price(m: int, geom: HoverGeometry, link: RadioSpec, p: float) -> dict:
-        slots = aggregation_slots(m, zeta, p)
-        hover = slots * slot_duration(link)
-        return dict(slots_per_hl=slots, hover_per_hl=hover,
-                    feasible=math.isfinite(hover))
+    def price(m: int, geom: HoverGeometry, link: RadioSpec, p: float) -> tuple[float, dict]:
+        return aggregation_slots(m, zeta, p), {}
 
     return _plan("aggregation", price, field, drone, radio, fixed_beta, fixed_aloha,
                  m_range, k, depots, table, seed)
@@ -311,14 +309,13 @@ def plan_estimation(
     """
     _check_budget(cov, delta)
 
-    def price(m: int, geom: HoverGeometry, link: RadioSpec, p: float) -> dict:
+    def price(m: int, geom: HoverGeometry, link: RadioSpec, p: float) -> tuple[float, dict]:
         try:
             budget = optimal_slots_estimation(geom, link, cov, delta)
         except EstimationInfeasible:
-            return dict(slots_per_hl=math.inf, hover_per_hl=math.inf, feasible=False)
-        return dict(slots_per_hl=budget.j_star, hover_per_hl=budget.hover_time,
-                    r_mse=budget.r_mse, rho=budget.rho,
-                    p_edge_success=budget.p_edge_success)
+            return math.inf, {}
+        return budget.j_star, dict(r_mse=budget.r_mse, rho=budget.rho,
+                                   p_edge_success=budget.p_edge_success)
 
     return _plan("estimation", price, field, drone, radio, fixed_beta, fixed_aloha,
                  m_range, k, depots, table, seed)

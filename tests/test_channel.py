@@ -55,7 +55,9 @@ def laplace_derivatives(s, geom, radio, max_order):
     Q_0^(j) is taken by quadrature at ``s`` itself, with no interpolant."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     q = [channel._q_derivative(j, s, geom, radio.m, radio.eta) for j in range(max_order + 1)]
-    return channel._laplace_from_q(s, q, geom, radio)
+    noise_ratio = radio.noise / radio.power
+    area_rate = 2.0 * math.pi * geom.density * radio.aloha
+    return channel._laplace_from_g(channel._exponent(-s * noise_ratio, q, area_rate, noise_ratio))
 
 
 def laplace_interference(s, geom, radio):
@@ -244,6 +246,21 @@ def test_aloha_trial_is_success_probability_bit_for_bit(radio, m, density):
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("density", [0.1, 1.0])
+def test_disk_rule_sums_the_lens_rule_kernel_bit_for_bit(radio, m, density):
+    # both capture probabilities evaluate one kernel assembly; the disk rule
+    # only sums it on its 64 nodes
+    geom = HoverGeometry(radius=20.0, altitude=20.0, density=density)
+    w = geom.radius * quadrature.UNIT_NODES
+    weight = geom.radius * quadrature.UNIT_WEIGHTS * w
+    for a in np.geomspace(1e-4, 1.0, 13).tolist():
+        link = radio.with_(m=m, aloha=a)
+        kernel = channel._capture_kernel(np.sqrt(w**2 + geom.altitude**2), geom, link)
+        p = 2.0 * a * math.pi * geom.density * float(kernel @ weight)
+        assert success_probability(geom, link) == min(max(p, 0.0), 1.0)
+
+
 def test_warm_beta_search_builds_one_link_per_beta_trial(geom20, radio, monkeypatch):
     optimal_beta(geom20, radio)  # warm: every interpolant of the search is cached
     built, searches, trials = [], [], []
@@ -384,6 +401,8 @@ def test_edge_success_limits(geom20, radio):
         edge_success_probability(geom20, radio, 0.0)
     with pytest.raises(ValueError):
         edge_success_probability(geom20, radio, math.nan)
+    with pytest.raises(ValueError, match="positive and finite"):
+        edge_success_probability(geom20, radio, math.inf)
     with pytest.raises(ValueError):
         edge_success_probability(geom20, radio, np.array([5.0, math.nan]))
 

@@ -522,6 +522,25 @@ def test_negative_seed_exits_as_usage_error_before_any_work(tmp_path, capsys, mo
     assert not (tmp_path / args[0]).exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_restarts_exits_as_usage_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                source):
+    work = []
+    monkeypatch.setattr(cli.NormalizedCoverageTable, "ensure", lambda *a, **k: work.append(a))
+    args = ["coverage-table", "--m-max", "2"]
+    if source == "flag":
+        args += ["--restarts", "-1"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("restarts = -1\n")
+        args += ["--config", str(cfg)]
+    code = run([*args, "--out", str(tmp_path), "--label", "neg"])
+    assert code == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert work == []
+    assert not (tmp_path / "coverage-table").exists()
+
+
 # Runs in a fresh interpreter: the test session itself has SciPy loaded
 _NO_SCIPY_SCRIPT = """
 import json, sys

@@ -257,7 +257,8 @@ def test_krige_interpolates_any_grid_observations(obs_xy, b, sigma2):
 
 
 def test_krige_empty_returns_prior(cov75):
-    est, mse = krige(ObservationSet.empty(), [[1.0, 2.0], [3.0, 4.0]], cov75)
+    empty = ObservationSet(np.empty((0, 2)), np.empty(0))
+    est, mse = krige(empty, [[1.0, 2.0], [3.0, 4.0]], cov75)
     assert np.all(est == 0.0)
     assert np.all(mse == cov75.sigma2)
 
@@ -488,7 +489,7 @@ def test_estimation_slots_array_matches_scalar_calls(geom20, radio, cov75):
 
 
 def test_nan_probe_radius_is_rejected_not_priced_infeasible(geom20, radio, cov75):
-    for radius in (math.nan, np.array([5.0, math.nan])):
+    for radius in (math.nan, np.array([5.0, math.nan]), math.inf):
         with pytest.raises(ValueError):
             estimation_slots(radius, geom20, radio, cov75, 0.2)
     # a NaN target would price every radius infinite, that is infeasible

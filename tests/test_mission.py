@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def test_zero_samples_reduces_to_travel(deployment, drone, radio, table):
         fixed_beta=1.8, fixed_aloha=0.02,
     )
     assert all(r.hover_total == 0.0 for r in report.records)
-    assert report.best_m == 1  # pure travel minimization
+    assert report.best.m == 1  # pure travel minimization
 
 
 def test_doubling_zeta_doubles_hover_only(deployment, drone, radio, table):
@@ -151,7 +152,23 @@ def test_infeasible_m_recorded_and_skipped(deployment, drone, radio, table):
     assert all(not r.feasible for r in report.records)
     assert len(report.records) == 3
     with pytest.raises(Exception):
-        report.best_m
+        report.best.m
+
+
+def test_infeasible_estimation_m_recorded_and_skipped(deployment, drone, radio, cov75, table):
+    # a link that never transmits meets no MSE target: the record carries the
+    # infinite slot count and hover, and no budget fields
+    report = plan_estimation(deployment, drone, radio, cov75, 0.2, m_range=range(1, 4),
+                             table=table, fixed_aloha=0.0)
+    assert all(not r.feasible for r in report.records)
+    assert len(report.records) == 3
+    with pytest.raises(Exception):
+        report.best.m
+    for rec in report.records:
+        assert rec.slots_per_hl == rec.hover_per_hl == rec.hover_total == rec.total == math.inf
+        assert math.isnan(rec.travel)
+        assert rec.r_mse is None and rec.rho is None and rec.p_edge_success is None
+        assert not {"r_mse_m", "rho", "p_edge_success"} & rec.to_dict().keys()
 
 
 def test_estimation_hover_monotone_in_target(deployment, drone, radio, cov75, table):
@@ -231,7 +248,7 @@ def _best_m_per_side(sides, drone, radio, table, m_range):
         plan_aggregation(
             FieldSpec(side=side, density=0.1), drone, radio, zeta=250.0,
             m_range=m_range, table=table,
-        ).best_m
+        ).best.m
         for side in sides
     ]
 
