@@ -357,15 +357,11 @@ def _disk_trial(geom: HoverGeometry, radio: RadioSpec) -> Callable[[float], floa
     nodes' kernel comes from :func:`_kernel_trial` and the weights are
     computed here, once.
     """
-    if geom.density == 0.0:
-        return lambda a: 0.0
     w = geom.radius * quadrature.UNIT_NODES
     kernel = _kernel_trial(np.sqrt(w**2 + geom.altitude**2), geom, radio)
     weight = geom.radius * quadrature.UNIT_WEIGHTS * w
 
     def trial(a: float) -> float:
-        if a == 0.0:
-            return 0.0
         p = 2.0 * a * math.pi * geom.density * float(kernel(a) @ weight)
         return min(max(p, 0.0), 1.0)
 
@@ -415,8 +411,6 @@ def edge_success_probability(geom: HoverGeometry, radio: RadioSpec, r_mse):
     r_arr = np.asarray(r_mse, dtype=float)
     if not np.all((r_arr > 0) & (r_arr < math.inf)):
         raise ValueError("probe radius must be positive and finite")
-    if radio.aloha == 0.0 or geom.density == 0.0:
-        return 0.0 if r_arr.ndim == 0 else np.zeros(r_arr.shape)
     cover, h = geom.radius, geom.altitude
     probe = r_arr.reshape(-1, 1)
     lo = np.minimum(np.abs(probe - cover), cover)

@@ -90,12 +90,9 @@ def _out_dir(cfg: RunConfig, command: str, **options) -> Path:
     return path
 
 
-def _stamp(cfg: RunConfig) -> str:
-    return f"# config={cfg.digest()} seed={cfg.seed}"
-
-
 def _write_csv(path: Path, cfg: RunConfig, header: str, rows: list[str]) -> None:
-    path.write_text("\n".join([_stamp(cfg), header, *rows]) + "\n")
+    stamp = f"# config={cfg.digest()} seed={cfg.seed}"
+    path.write_text("\n".join([stamp, header, *rows]) + "\n")
 
 
 def _check_positive(**options: float | None) -> None:

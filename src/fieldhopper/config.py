@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field as dc_field, fields, replace
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 
 from . import units
@@ -91,8 +91,6 @@ class RunConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.restarts < 0:
             raise ConfigError(f"restarts must be non-negative, got {self.restarts}")
-        if self.density <= 0:  # a FieldSpec allows an empty field
-            raise ConfigError("density must be positive")
         try:
             for build in (self.radio, self.drone, self.field, self.covariance):
                 build()
@@ -125,11 +123,7 @@ class RunConfig:
 
     # ---- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(map(list, v)) if f.name == "depots" and v else v
-        return out
+        return asdict(self)
 
     def digest(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True, default=float)

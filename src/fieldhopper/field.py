@@ -160,8 +160,6 @@ def krige(obs: ObservationSet, targets, spec: CovarianceSpec) -> tuple[np.ndarra
     its diagonal; if its factorization still fails the input is degenerate.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if len(obs) == 0:
-        return np.zeros(len(targets)), np.full(len(targets), spec.sigma2)
     sigma_oo = covariance_matrix(spec, obs.locations)
     sigma_oo[np.diag_indices_from(sigma_oo)] += JITTER_FACTOR * spec.sigma2
     sigma_to = covariance_matrix(spec, targets, obs.locations)
@@ -190,14 +188,12 @@ def sample_field(locations, spec: CovarianceSpec, seed) -> np.ndarray:
     """
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     n = len(locations)
-    if n == 0:
-        return np.empty(0)
     if n > MAX_FACTOR_POINTS:
         raise ValueError(
             f"{n} locations exceed the dense-factorization cap of "
             f"{MAX_FACTOR_POINTS}; sample in tiles instead"
         )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     cov = covariance_matrix(spec, locations)
     cov[np.diag_indices_from(cov)] += JITTER_FACTOR * spec.sigma2
     return np.linalg.cholesky(cov) @ rng.standard_normal(n)

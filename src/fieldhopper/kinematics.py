@@ -52,17 +52,9 @@ class DroneSpec:
         return self.speed / self.decel
 
     @property
-    def ramp_up_distance(self) -> float:
-        return 0.5 * self.accel * self.ramp_up_time**2
-
-    @property
-    def ramp_down_distance(self) -> float:
-        return 0.5 * self.decel * self.ramp_down_time**2
-
-    @property
     def ramp_distance(self) -> float:
         """Minimum hop length on which cruise speed is reached."""
-        return self.ramp_up_distance + self.ramp_down_distance
+        return 0.5 * self.accel * self.ramp_up_time**2 + 0.5 * self.decel * self.ramp_down_time**2
 
     def altitude_for_radius(self, radius: float) -> float:
         """Hover height whose antenna cone covers a ground disk of ``radius``."""

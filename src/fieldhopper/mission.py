@@ -55,14 +55,15 @@ STOP_AFTER_RISES = 3  # the M sweep ends once the total has risen this often in 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The deployment area: square side length [m] and sensor density [1/m^2]."""
+    """The deployment area: square side length [m] and sensor density [1/m^2],
+    both positive and finite, so a planned field has sensors."""
 
     side: float
     density: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.side < math.inf and 0 <= self.density < math.inf):
-            raise ValueError("side must be positive and density non-negative, both finite")
+        if not (0 < self.side < math.inf and 0 < self.density < math.inf):
+            raise ValueError("side and density must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -190,9 +191,9 @@ def _tours_and_travel(
     return total, per_uav[worst].travel_time, per_uav, worst
 
 
-def _sweep(records: list[MissionRecord]) -> bool:
+def _sweep(report: MissionReport) -> bool:
     """True when the total has been rising for ``STOP_AFTER_RISES`` consecutive M."""
-    feasible = [r for r in records if r.feasible]
+    feasible = report.feasible_records
     if len(feasible) <= STOP_AFTER_RISES:
         return False
     tail = feasible[-(STOP_AFTER_RISES + 1):]
@@ -253,7 +254,7 @@ def _plan(
                 plan.centers, depots_arr, k, drone, record.hover_per_hl, seed,
             )
         report.records.append(record)
-        if _sweep(report.records):
+        if _sweep(report):
             break
     return report
 

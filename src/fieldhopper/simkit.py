@@ -60,7 +60,7 @@ def sample_ppp(region: Disk | SquareRegion, density: float, seed) -> np.ndarray:
     """Node positions of a homogeneous Poisson field over the region."""
     if density < 0:
         raise ValueError("density must be non-negative")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = rng.poisson(density * region.area)
     if isinstance(region, Disk):
         radii = region.radius * np.sqrt(rng.random(n))
@@ -154,8 +154,6 @@ def _simulate_batch(
     n = len(slant)
     winners = np.full(slots, -1, dtype=np.int64)
     multi = 0
-    if n == 0:
-        return winners, multi
     decay = slant ** (-radio.eta)
     noise_ratio = radio.noise / radio.power
     done = 0
@@ -233,8 +231,6 @@ def _collect_hover(
 ) -> np.ndarray:
     """Indices (into nodes) heard at one hovering location over ``slots``."""
     covered = np.flatnonzero(np.linalg.norm(nodes - center, axis=1) <= geom.radius)
-    if len(covered) == 0:
-        return covered
     slant = _slant(nodes[covered], center, geom.altitude)
     winners, _ = _simulate_batch(slant, radio, rng, slots)
     return covered[np.unique(winners[winners >= 0])]

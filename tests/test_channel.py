@@ -397,6 +397,12 @@ def test_edge_success_limits(geom20, radio):
     assert full == pytest.approx(success_probability(geom20, radio), rel=1e-6)
     tiny = edge_success_probability(geom20, radio, 0.05)
     assert tiny < 1e-4
+    empty = HoverGeometry(radius=20.0, altitude=20.0, density=0.0)
+    for geom, link in ((empty, radio), (geom20, radio.with_(aloha=0.0))):
+        none = edge_success_probability(geom, link, 15.0)
+        assert none == 0.0 and math.copysign(1.0, none) == 1.0
+        assert np.array_equal(edge_success_probability(geom, link, np.array([5.0, 50.0])),
+                              np.zeros(2))
     with pytest.raises(ValueError):
         edge_success_probability(geom20, radio, 0.0)
     with pytest.raises(ValueError):

@@ -159,6 +159,25 @@ def test_simulate_pass_and_replay(tmp_path):
     assert stats.read_bytes() == first
 
 
+def test_simulate_fails_on_the_edge_lens_alone(tmp_path, capsys, monkeypatch):
+    # the disk estimate agrees with the analytic value and only the edge lens
+    # is off by far more than 3 standard errors: the verdict is still FAIL
+    def estimate(config):
+        p = success_probability(config.geom, config.radio)
+        return simkit.SimStats(slots=config.slots, replications=config.replications,
+                               p_success=p, p_success_se=0.01,
+                               p_edge_success=0.5, p_edge_success_se=0.01)
+
+    monkeypatch.setattr(cli, "estimate_success_probability", estimate)
+    code = run(["simulate", "--slots", "10", "--replications", "30", "--probe-radius", "15",
+                "--out", str(tmp_path), "--label", "edge"])
+    assert code == cli.EXIT_MISMATCH
+    payload = json.loads((tmp_path / "simulate" / "edge" / "stats.json").read_text())
+    assert payload["z"] == 0.0 and abs(payload["edge_z"]) > 3.0
+    assert payload["verdict"] == "FAIL"
+    assert capsys.readouterr().out.endswith("(z = +0.00) -> FAIL\n")
+
+
 def test_simulate_stats_at_unit_shape_match_gamma_draws(tmp_path, monkeypatch):
     # the default link is Rayleigh (m = 1): stats.json must be what the
     # Gamma(1) draws of the dense reference simulator give, byte for byte
@@ -288,7 +307,7 @@ def test_sweep_area_honours_paper_literal_kinematics(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["side_m = -5", "warp_factor = 9", "nakagami_m = 1.5",
-                                  "side_m = wide", "beamwidth_deg = 200",
+                                  "side_m = wide", "beamwidth_deg = 200", "uavs = 0",
                                   # NaN passes every `<= 0` check, inf plans a mission
                                   "side_m = nan", "density_per_m2 = nan", "zeta = nan",
                                   "speed_mps = inf", "depots = 50,nan"])
@@ -307,6 +326,28 @@ def test_zero_m_range_exits_as_usage_error(tmp_path, args):
     code = run([*args, "--out", str(tmp_path), "--label", "zero"])
     assert code == cli.EXIT_INFEASIBLE
     assert not (tmp_path / args[0] / "zero").exists()
+
+
+@pytest.mark.parametrize("density", ["0", "-0.1"])
+def test_a_field_without_sensors_exits_with_the_field_spec_message(tmp_path, capsys,
+                                                                   monkeypatch, density):
+    work = []
+    monkeypatch.setattr(cli, "plan_aggregation", lambda *a, **k: work.append(a))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"density_per_m2 = {density}\n")
+    code = run(["plan", "--config", str(cfg), "--m-max", "1", "--out", str(tmp_path)])
+    assert code == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err == (
+        "usage error: side and density must be positive and finite\n")
+    assert work == []
+
+
+def test_config_line_without_equals_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# reference field\nside_m = 100\ndensity_per_m2 0.1\n")
+    code = run(["plan", "--config", str(cfg), "--m-max", "1", "--out", str(tmp_path)])
+    assert code == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith(f"usage error: {cfg}:3: expected key = value")
 
 
 @pytest.mark.parametrize("value, flag", [("1", True), ("TRUE", True), ("yes", True),

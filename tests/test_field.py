@@ -345,6 +345,14 @@ def test_sample_field_pair_correlation(cov75):
     assert abs(emp2 - want) <= 3.0 * se2
 
 
+def test_sample_field_at_no_location_draws_nothing(cov75):
+    rng = np.random.default_rng(42)
+    before = rng.bit_generator.state
+    values = sample_field(np.empty((0, 2)), cov75, rng)
+    assert values.shape == (0,)
+    assert rng.bit_generator.state == before
+
+
 def test_sample_field_caps_size(cov75):
     with pytest.raises(ValueError):
         sample_field(np.zeros((5001, 2)), cov75, seed=0)

@@ -207,6 +207,13 @@ def test_estimation_plan_reads_delta_over_sigma2_only(k, deployment, drone, radi
     assert plan(scaled, k * 0.2) == plan(cov75, 0.2)
 
 
+@pytest.mark.parametrize("density", [0.0, -0.1])
+def test_a_planned_field_has_sensors(density):
+    # an empty field has no link to tune: no M of it may be planned
+    with pytest.raises(ValueError, match="side and density must be positive and finite"):
+        FieldSpec(side=100.0, density=density)
+
+
 def test_multi_uav_total_reduces_to_single(drone, table):
     centers = table.centers(8) * 100.0
     depot = (50.0, 50.0)

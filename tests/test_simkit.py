@@ -228,6 +228,27 @@ def test_edge_probe_counts(geom20, radio):
     assert 0.0 < st.p_edge_success < st.p_success
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("slots", [1, SLOT_CHUNK + 7])
+def test_empty_disk_draws_nothing(radio, m, slots):
+    # a size-0 draw leaves the bit generator where it was, so the slots of an
+    # empty disk cost the replication's stream nothing
+    rng = np.random.default_rng(40 + m)
+    before = rng.bit_generator.state
+    winners, multi = _simulate_batch(np.empty(0), radio.with_(m=m, aloha=1.0), rng, slots)
+    assert np.array_equal(winners, np.full(slots, -1)) and multi == 0
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("nodes", [np.empty((0, 2)), np.array([[50.0, 0.0], [0.0, -21.0]])])
+def test_hover_over_no_covered_node_hears_nothing(geom20, radio, nodes):
+    rng = np.random.default_rng(41)
+    before = rng.bit_generator.state
+    heard = _collect_hover(nodes, np.zeros(2), geom20, radio.with_(aloha=1.0), 50, rng)
+    assert heard.shape == (0,) and heard.dtype == np.int64
+    assert rng.bit_generator.state == before
+
+
 def _edge_mse(geom, config, j_slots):
     # one hover at (R, R) in a 2R square, kriged at the disk-edge probe (2R, R)
     R = geom.radius
